@@ -47,7 +47,11 @@ PRIVATE_DB_ATTRS = {
     "_sorted_indexes",
     "_probe_cache",
     "_plan",
-    "_index_candidates",
+    "_serving_index",
+    # Index postings: intersecting them by hand answers a conjunctive
+    # query exactly, with no ProbeLog entry.
+    "_buckets",
+    "_posting_sets",
     # Columnar / sharded internals (same contract as the row internals):
     # the column store, its typed columns and zone maps, and the
     # sharded facade's shard list and global-id tables.

@@ -18,9 +18,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedAnswer:
-    """One tuple of the extended set with its similarity scores."""
+    """One tuple of the extended set with its similarity scores.
+
+    Slotted: callers hold thousands of these (every extended set, every
+    served page), and a slotted instance is one allocation half the
+    size of a dict-backed one.
+    """
 
     row_id: int
     row: tuple

@@ -1,13 +1,20 @@
-"""Boolean query execution with simple index selection.
+"""Boolean query execution with posting-set intersection.
 
 The executor answers conjunctive selection queries over a
-:class:`~repro.db.table.Table`.  Planning is deliberately simple and
-fully deterministic:
+:class:`~repro.db.table.Table`.  Planning is deterministic and never
+materialises a candidate list just to compare sizes:
 
-1. among the query's predicates, find those an existing index can serve;
-2. pick the one whose candidate set is (estimated) smallest as the
-   *driver*;
-3. verify every remaining predicate against the driver's candidates.
+1. among the query's predicates, find those an existing index can
+   serve, and size each one exactly (a bucket length or two
+   bisections);
+2. take the smallest as the *driver*;
+3. intersect the driver's candidates with the posting set of every
+   other hash-served predicate (memoised per value, so each
+   intersection is one C-level set operation bounded by the smaller
+   side), and with every range-served predicate whose candidate count
+   does not exceed the candidates left;
+4. verify the remaining (*residual*) predicates row by row on the
+   rows that survive, in ascending row-id order.
 
 When no predicate is indexable the executor falls back to a full scan.
 On a :class:`~repro.db.table.ColumnarTable` both paths are vectorized:
@@ -17,24 +24,28 @@ are regrouped into per-block runs so residual predicates can prune and
 verify block-at-a-time.  The vectorized layer is exact by construction
 (:mod:`repro.db.vectorized`); whenever a query cannot be reproduced
 bit-identically it falls back to the per-row path, so results — rows,
-order, truncation — never depend on the storage engine.
+order, truncation — never depend on the storage engine.  Nor do they
+depend on the plan: every index is exact for the predicates it serves,
+so an intersected predicate and a verified one select the same rows.
 
 An :class:`ExecutionStats` record reports how much work each query did —
 the efficiency experiments (paper Figs 6–7) count extracted tuples
 through this channel — and, when observability is enabled, the same
 work lands in the shared metrics registry (probe latency histogram,
-rows scanned vs returned, blocks pruned, truncations).  Accounting is
-honest: a zone-map-pruned block contributes to ``blocks_pruned`` and
-*nothing* to ``rows_examined``, because its values were never touched.
+rows scanned vs returned, blocks pruned, postings intersected,
+truncations).  Accounting is honest: a zone-map-pruned block
+contributes to ``blocks_pruned`` and *nothing* to ``rows_examined``,
+because its values were never touched; likewise a row an intersection
+discards is never examined.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
-from repro.db.index import block_spans
+from repro.db.index import HashIndex, SortedIndex, block_spans
 from repro.db.predicates import Eq, IsIn, Predicate
 from repro.db.query import SelectionQuery
 from repro.db.table import ColumnarTable, Table
@@ -48,9 +59,13 @@ __all__ = ["ExecutionStats", "QueryResult", "Executor"]
 class ExecutionStats:
     """Cumulative work counters for one executor.
 
-    ``rows_examined`` counts rows whose values were actually evaluated;
+    ``rows_examined`` counts rows whose values were actually evaluated
+    — on an index plan, the rows left after posting intersection;
     ``blocks_pruned`` counts blocks zone maps skipped wholesale (their
-    rows are deliberately *not* part of ``rows_examined``).
+    rows are deliberately *not* part of ``rows_examined``);
+    ``postings_intersected`` counts predicates answered by intersecting
+    index postings into the driver's candidates rather than by
+    verifying rows.
     """
 
     queries_executed: int = 0
@@ -60,6 +75,7 @@ class ExecutionStats:
     index_lookups: int = 0
     blocks_scanned: int = 0
     blocks_pruned: int = 0
+    postings_intersected: int = 0
 
     def merge(self, other: "ExecutionStats") -> None:
         self.queries_executed += other.queries_executed
@@ -69,6 +85,7 @@ class ExecutionStats:
         self.index_lookups += other.index_lookups
         self.blocks_scanned += other.blocks_scanned
         self.blocks_pruned += other.blocks_pruned
+        self.postings_intersected += other.postings_intersected
 
     def snapshot(self) -> "ExecutionStats":
         """An independent copy of the current counters."""
@@ -84,6 +101,9 @@ class ExecutionStats:
             index_lookups=self.index_lookups - since.index_lookups,
             blocks_scanned=self.blocks_scanned - since.blocks_scanned,
             blocks_pruned=self.blocks_pruned - since.blocks_pruned,
+            postings_intersected=(
+                self.postings_intersected - since.postings_intersected
+            ),
         )
 
 
@@ -122,9 +142,18 @@ class QueryResult:
 
 @dataclass
 class _Plan:
-    driver: Predicate | None
+    """How one query is answered.
+
+    ``candidates`` is None for a full scan; otherwise it lists, in
+    ascending order, exactly the row ids matching every index-served
+    predicate.  ``residual`` holds the predicates still to verify row
+    by row (for a full scan, the whole query); ``intersected`` counts
+    the predicates intersected into the driver's candidates.
+    """
+
     candidates: list[int] | None
-    residual: tuple[Predicate, ...] = field(default_factory=tuple)
+    residual: SelectionQuery
+    intersected: int = 0
 
 
 class Executor:
@@ -137,29 +166,53 @@ class Executor:
     # -- planning -------------------------------------------------------------
 
     def _plan(self, query: SelectionQuery) -> _Plan:
-        """Choose the cheapest indexable predicate as the driver."""
-        best: tuple[int, Predicate, list[int]] | None = None
-        for predicate in query.predicates:
-            candidates = self._index_candidates(predicate)
-            if candidates is None:
-                continue
-            if best is None or len(candidates) < best[0]:
-                best = (len(candidates), predicate, candidates)
-        if best is None:
-            return _Plan(driver=None, candidates=None, residual=query.predicates)
-        _, driver, candidates = best
-        residual = tuple(p for p in query.predicates if p is not driver)
-        return _Plan(driver=driver, candidates=candidates, residual=residual)
+        """Drive from the smallest index, intersect the others' postings.
 
-    def _index_candidates(self, predicate: Predicate) -> list[int] | None:
-        """Exact candidate row ids from an index, or None if unservable."""
+        Hash postings are always intersected: their sets are memoised,
+        so each intersection costs at most the survivors so far.  A
+        range's set is built per probe, so it is intersected only when
+        it holds no more rows than survive; otherwise verifying it on
+        the survivors is the cheaper way to apply it.
+        """
+        paths: list[tuple[int, int, Predicate, HashIndex | SortedIndex]] = []
+        for position, predicate in enumerate(query.predicates):
+            index = self._serving_index(predicate)
+            if index is not None:
+                paths.append((index.size(predicate), position, predicate, index))
+        if not paths:
+            return _Plan(candidates=None, residual=query)
+        # Ties keep query order; positions are unique, so the sort never
+        # compares predicates.
+        paths.sort()
+        _, _, driver, driver_index = paths[0]
+        served = {id(driver)}
+        intersected = 0
+        if len(paths) == 1:
+            candidates = sorted(driver_index.candidates(driver))
+        else:
+            survivors = driver_index.candidate_set(driver)
+            for size, _, predicate, index in paths[1:]:
+                if isinstance(index, HashIndex) or size <= len(survivors):
+                    survivors = survivors & index.candidate_set(predicate)
+                    served.add(id(predicate))
+                    intersected += 1
+            candidates = sorted(survivors)
+        residual = SelectionQuery(
+            tuple(p for p in query.predicates if id(p) not in served)
+        )
+        return _Plan(candidates, residual, intersected)
+
+    def _serving_index(
+        self, predicate: Predicate
+    ) -> HashIndex | SortedIndex | None:
+        """The index that answers ``predicate`` exactly, if any."""
         if isinstance(predicate, (Eq, IsIn)):
             hash_index = self.table.hash_index(predicate.attribute)
             if hash_index is not None and hash_index.serves(predicate):
-                return hash_index.candidates(predicate)
+                return hash_index
         sorted_index = self.table.sorted_index(predicate.attribute)
         if sorted_index is not None and sorted_index.serves(predicate):
-            return sorted_index.candidates(predicate)
+            return sorted_index
         return None
 
     def _compile(self, query: SelectionQuery) -> CompiledQuery | None:
@@ -184,11 +237,11 @@ class Executor:
         returned window.
 
         Results come back in *canonical order*: ascending row id,
-        whatever plan served the query.  Index drivers are sorted into
-        that order before the verify loop, so a paged window always
-        means "the first N matches by row id" — a plan-independent
-        contract the semantic planner relies on when it derives one
-        query's result from another's.
+        whatever plan served the query.  Index candidates are sorted
+        into that order before the verify loop, so a paged window
+        always means "the first N matches by row id" — a
+        plan-independent contract the semantic planner relies on when
+        it derives one query's result from another's.
         """
         if offset < 0:
             raise ValueError("offset cannot be negative")
@@ -197,7 +250,7 @@ class Executor:
         started = time.perf_counter() if observing else 0.0
         self.stats.queries_executed += 1
         plan = self._plan(query)
-        compiled = self._compile(query)
+        compiled = self._compile(plan.residual)
 
         matched_ids: list[int] = []
         skipped = 0
@@ -229,14 +282,14 @@ class Executor:
                         break
         else:
             self.stats.index_lookups += 1
-            ordered = sorted(plan.candidates)
+            self.stats.postings_intersected += plan.intersected
             if compiled is not None:
                 examined, pruned = self._verify_candidates(
-                    compiled, plan, ordered, consume
+                    compiled, plan.candidates, consume
                 )
             else:
-                residual = SelectionQuery(plan.residual)
-                for row_id in ordered:
+                residual = plan.residual
+                for row_id in plan.candidates:
                     examined += 1
                     row = self.table.row(row_id)
                     if residual.matches(row, schema) and consume(row_id):
@@ -253,6 +306,7 @@ class Executor:
                 returned=len(rows),
                 truncated=truncated,
                 pruned=pruned,
+                intersected=plan.intersected,
             )
         return QueryResult(
             query=query,
@@ -267,14 +321,15 @@ class Executor:
         A true count-only path: no row tuples are materialised and the
         ``rows_returned`` work counter is untouched, so count probes
         never inflate the rows-returned accounting the efficiency
-        experiments read.
+        experiments read.  When intersection served every predicate the
+        count is the survivor count, with no per-row work at all.
         """
         query.validate_against(self.table.schema)
         observing = OBS.enabled
         started = time.perf_counter() if observing else 0.0
         self.stats.queries_executed += 1
         plan = self._plan(query)
-        compiled = self._compile(query)
+        compiled = self._compile(plan.residual)
         schema = self.table.schema
         matches = 0
         examined = 0
@@ -302,16 +357,15 @@ class Executor:
                         matches += 1
         else:
             self.stats.index_lookups += 1
-            if compiled is not None:
-                residual_compiled = self._residual_compiled(compiled, plan)
-                for row_id in plan.candidates:
-                    examined += 1
-                    if residual_compiled.matches_at(row_id):
-                        matches += 1
+            self.stats.postings_intersected += plan.intersected
+            examined = len(plan.candidates)
+            if not plan.residual.predicates:
+                matches = examined
+            elif compiled is not None:
+                matches = sum(map(compiled.matches_at, plan.candidates))
             else:
-                residual = SelectionQuery(plan.residual)
+                residual = plan.residual
                 for row_id in plan.candidates:
-                    examined += 1
                     if residual.matches(self.table.row(row_id), schema):
                         matches += 1
 
@@ -324,6 +378,7 @@ class Executor:
                 returned=0,
                 truncated=False,
                 pruned=pruned,
+                intersected=plan.intersected,
             )
         return matches
 
@@ -364,8 +419,7 @@ class Executor:
 
     def _verify_candidates(
         self,
-        compiled: CompiledQuery,
-        plan: _Plan,
+        residual: CompiledQuery,
         ordered: list[int],
         consume: "Callable[[int], bool]",
     ) -> tuple[int, int]:
@@ -380,19 +434,17 @@ class Executor:
         examined = 0
         pruned = 0
         scanned = 0
-        store = compiled.store
-        residual_compiled = self._residual_compiled(compiled, plan)
-        prunable = bool(residual_compiled.predicates)
+        prunable = bool(residual.predicates)
         done = False
-        for block, start, stop in block_spans(ordered, store.block_rows):
-            if prunable and residual_compiled.prune_block(block):
+        for block, start, stop in block_spans(ordered, residual.store.block_rows):
+            if prunable and residual.prune_block(block):
                 pruned += 1
                 continue
             scanned += 1
             for index in range(start, stop):
                 row_id = ordered[index]
                 examined += 1
-                if residual_compiled.matches_at(row_id) and consume(row_id):
+                if residual.matches_at(row_id) and consume(row_id):
                     done = True
                     break
             if done:
@@ -400,18 +452,6 @@ class Executor:
         self.stats.blocks_scanned += scanned
         self.stats.blocks_pruned += pruned
         return examined, pruned
-
-    @staticmethod
-    def _residual_compiled(compiled: CompiledQuery, plan: _Plan) -> CompiledQuery:
-        """The compiled conjunction minus the plan's driver predicate."""
-        return CompiledQuery(
-            compiled.store,
-            [
-                strategy
-                for strategy in compiled.predicates
-                if strategy.predicate is not plan.driver
-            ],
-        )
 
     # -- observability --------------------------------------------------------
 
@@ -423,6 +463,7 @@ class Executor:
         returned: int,
         truncated: bool,
         pruned: int = 0,
+        intersected: int = 0,
     ) -> None:
         registry = OBS.registry
         registry.histogram(
@@ -439,6 +480,11 @@ class Executor:
                 "repro_db_blocks_pruned_total",
                 "Blocks zone maps skipped before any value was touched.",
             ).inc(pruned)
+        if intersected:
+            registry.counter(
+                "repro_db_postings_intersected_total",
+                "Predicates answered by intersecting index postings.",
+            ).inc(intersected)
         if returned:
             registry.counter(
                 "repro_db_rows_returned_total",

@@ -10,6 +10,14 @@ Two index families cover the predicate classes the substrate supports:
 Both indexes map a single attribute.  They are maintained eagerly by
 :class:`repro.db.table.Table` on insert.  Null values are excluded from
 indexes (no predicate matches null), matching SQL semantics.
+
+Both also expose the three access methods the executor's planner
+needs: ``size`` (the exact candidate count, computed without
+materialising a single row id), ``candidates`` (ascending for hash
+lookups) and ``candidate_set`` (the candidates as a set, for posting
+intersection).  ``HashIndex`` memoises each value's posting set, so
+intersecting a conjunction's equality predicates costs one C-level set
+intersection per predicate, bounded by the smaller side.
 """
 
 from __future__ import annotations
@@ -54,11 +62,20 @@ def block_spans(
 
 
 class HashIndex:
-    """Exact-match index: attribute value → sorted list of row ids."""
+    """Exact-match index: attribute value → sorted list of row ids.
+
+    Posting sets (a bucket as a ``frozenset``) are built on first use by
+    :meth:`candidate_set` and dropped when :meth:`add` grows their
+    bucket, so a single-predicate probe never pays for them and a
+    stale set is never served.  Readers racing to fill the same entry
+    build equal sets, so whichever lands is correct; tables are
+    filled before they are probed, so ``add`` never races a reader.
+    """
 
     def __init__(self, attribute: str) -> None:
         self.attribute = attribute
         self._buckets: dict[object, list[int]] = {}
+        self._posting_sets: dict[object, frozenset[int]] = {}
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -67,6 +84,7 @@ class HashIndex:
         if value is None:
             return
         self._buckets.setdefault(value, []).append(row_id)
+        self._posting_sets.pop(value, None)
 
     def lookup(self, value: object) -> list[int]:
         """Row ids whose attribute equals ``value`` (insertion order)."""
@@ -109,6 +127,40 @@ class HashIndex:
         if isinstance(predicate, IsIn):
             return self.lookup_many(predicate.values)
         raise TypeError(f"HashIndex cannot serve {predicate!r}")
+
+    def size(self, predicate: Predicate) -> int:
+        """Exact number of :meth:`candidates`, without building them.
+
+        ``IsIn`` values are a frozenset of distinct values, and distinct
+        values hash to distinct buckets, so summing bucket lengths
+        cannot double-count a row.
+        """
+        if isinstance(predicate, Eq):
+            return len(self._buckets.get(predicate.value, ()))
+        if isinstance(predicate, IsIn):
+            return sum(len(self._buckets.get(v, ())) for v in predicate.values)
+        raise TypeError(f"HashIndex cannot serve {predicate!r}")
+
+    def candidate_set(self, predicate: Predicate) -> frozenset[int]:
+        """:meth:`candidates` as a set, memoised per value."""
+        if isinstance(predicate, Eq):
+            return self._posting_set(predicate.value)
+        if isinstance(predicate, IsIn):
+            return frozenset().union(
+                *(self._posting_set(value) for value in predicate.values)
+            )
+        raise TypeError(f"HashIndex cannot serve {predicate!r}")
+
+    def _posting_set(self, value: object) -> frozenset[int]:
+        posting = self._posting_sets.get(value)
+        if posting is None:
+            # Copying a set presizes the frozenset's table; building it
+            # straight from the list grows it step by step and can leave
+            # it up to twice as large.
+            posting = frozenset(set(self._buckets.get(value, ())))
+            if posting:
+                self._posting_sets[value] = posting
+        return posting
 
 
 class SortedIndex:
@@ -156,6 +208,17 @@ class SortedIndex:
         inclusive_high: bool = True,
     ) -> Iterator[int]:
         """Row ids with values inside the given (optionally open) range."""
+        start, stop = self._span(low, high, inclusive_low, inclusive_high)
+        return iter(self._row_ids[start:stop])
+
+    def _span(
+        self,
+        low: object = None,
+        high: object = None,
+        inclusive_low: bool = True,
+        inclusive_high: bool = True,
+    ) -> tuple[int, int]:
+        """``[start, stop)`` positions of a range in the sorted keys."""
         self._rebuild_if_needed()
         if low is None:
             start = 0
@@ -169,7 +232,7 @@ class SortedIndex:
             stop = bisect.bisect_right(self._keys, high)
         else:
             stop = bisect.bisect_left(self._keys, high)
-        return iter(self._row_ids[start:stop])
+        return start, max(start, stop)
 
     def min_value(self) -> object | None:
         self._rebuild_if_needed()
@@ -197,17 +260,34 @@ class SortedIndex:
         return isinstance(predicate, Between)
 
     def candidates(self, predicate: Predicate) -> list[int]:
-        """Row ids matching a range (or equality) predicate exactly."""
+        """Row ids matching a range (or equality) predicate exactly.
+
+        Ordered by value, not by row id.
+        """
+        start, stop = self._predicate_span(predicate)
+        return self._row_ids[start:stop]
+
+    def size(self, predicate: Predicate) -> int:
+        """Exact number of :meth:`candidates`: two bisections, no copy."""
+        start, stop = self._predicate_span(predicate)
+        return stop - start
+
+    def candidate_set(self, predicate: Predicate) -> frozenset[int]:
+        """:meth:`candidates` as a set (built per call, never cached)."""
+        start, stop = self._predicate_span(predicate)
+        return frozenset(self._row_ids[start:stop])
+
+    def _predicate_span(self, predicate: Predicate) -> tuple[int, int]:
         if isinstance(predicate, Eq):
-            return list(self.range(predicate.value, predicate.value))
+            return self._span(predicate.value, predicate.value)
         if isinstance(predicate, Lt):
-            return list(self.range(high=predicate.bound, inclusive_high=False))
+            return self._span(high=predicate.bound, inclusive_high=False)
         if isinstance(predicate, Le):
-            return list(self.range(high=predicate.bound))
+            return self._span(high=predicate.bound)
         if isinstance(predicate, Gt):
-            return list(self.range(low=predicate.bound, inclusive_low=False))
+            return self._span(low=predicate.bound, inclusive_low=False)
         if isinstance(predicate, Ge):
-            return list(self.range(low=predicate.bound))
+            return self._span(low=predicate.bound)
         if isinstance(predicate, Between):
-            return list(self.range(predicate.low, predicate.high))
+            return self._span(predicate.low, predicate.high)
         raise TypeError(f"SortedIndex cannot serve {predicate!r}")

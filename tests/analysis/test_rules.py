@@ -149,6 +149,14 @@ def test_rep004_flags_columnar_internals():
     assert len(run.findings) == 7
 
 
+def test_rep004_flags_index_posting_internals():
+    run = run_rule("REP004", FIXTURES / "rep004_postings_bad.py")
+    messages = " ".join(f.message for f in run.findings)
+    for attr in ("_posting_sets", "_buckets", "_serving_index"):
+        assert f"({attr})" in messages
+    assert len(run.findings) == 3
+
+
 def test_rep004_columnar_good_fixture_is_clean_under_all_rules():
     run = LintEngine().run([FIXTURES / "rep004_columnar_good.py"])
     assert run.findings == [], [f.render() for f in run.findings]

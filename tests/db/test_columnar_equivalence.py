@@ -168,6 +168,72 @@ def test_every_engine_returns_identical_pages_and_counts(rows, query, window):
     assert list(expected.row_ids) == sorted(expected.row_ids)
 
 
+wide_query_strategy = st.builds(
+    SelectionQuery,
+    st.lists(predicate_strategy(), min_size=2, max_size=5).map(tuple),
+)
+
+
+def _fully_indexed(table: Table) -> Table:
+    """Hash-index the numeric columns too, so Eq/IN there intersect."""
+    table.create_hash_index("N0")
+    table.create_hash_index("N1")
+    return table
+
+
+@given(rows=rows_strategy, query=wide_query_strategy, window=window_strategy)
+@settings(max_examples=150, deadline=None)
+def test_posting_intersection_matches_an_unindexed_scan(rows, query, window):
+    limit, offset = window
+    oracle = AutonomousWebDatabase(_row_table(rows, auto_index=False))
+    expected = oracle.query(query, limit=limit, offset=offset)
+    expected_count = oracle.count(query)
+    sizer = AutonomousWebDatabase(_row_table(rows, auto_index=False))
+    for table in (
+        _row_table(rows, auto_index=True),
+        _fully_indexed(_row_table(rows, auto_index=True)),
+        _fully_indexed(_columnar_table(rows, auto_index=True)),
+    ):
+        engine = AutonomousWebDatabase(table)
+        result = engine.query(query, limit=limit, offset=offset)
+        assert result.row_ids == expected.row_ids
+        assert result.rows == expected.rows
+        assert result.truncated == expected.truncated
+        assert engine.count(query) == expected_count
+        assert engine.log == oracle.log
+        hashed = tuple(p for p in query.predicates if _hash_serves(table, p))
+        served = [
+            sizer.count(SelectionQuery((p,)))
+            for p in query.predicates
+            if p in hashed or _sorted_serves(table, p)
+        ]
+        if served:
+            # A count examines only the rows left after intersection: at
+            # least every match, at most the smallest served posting, and
+            # never a row some hash-served conjunct rejects.
+            upper = min(served)
+            if hashed:
+                upper = min(upper, sizer.count(SelectionQuery(hashed)))
+            counter = AutonomousWebDatabase(table)
+            counter.count(query)
+            examined = counter.execution_stats.rows_examined
+            assert expected_count <= examined <= upper
+
+
+def _hash_serves(table: Table, predicate: Predicate) -> bool:
+    index = table.hash_index(predicate.attribute)
+    return (
+        isinstance(predicate, (Eq, IsIn))
+        and index is not None
+        and index.serves(predicate)
+    )
+
+
+def _sorted_serves(table: Table, predicate: Predicate) -> bool:
+    index = table.sorted_index(predicate.attribute)
+    return index is not None and index.serves(predicate)
+
+
 @given(rows=rows_strategy, query=query_strategy)
 @settings(max_examples=100, deadline=None)
 def test_unindexed_scan_stats_honour_block_accounting(rows, query):

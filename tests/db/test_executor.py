@@ -1,8 +1,12 @@
 """Unit tests for the boolean query executor and its planning."""
 
+import pytest
+
 from repro.db.executor import Executor
 from repro.db.predicates import Between, Eq, Ge, IsIn, Lt, Ne
 from repro.db.query import SelectionQuery
+from repro.db.schema import RelationSchema
+from repro.db.table import ColumnarTable, Table
 
 
 class TestExecution:
@@ -101,8 +105,6 @@ class TestLimits:
         assert len(result) == 0 and not result.truncated
 
     def test_negative_offset_rejected(self, toy_table):
-        import pytest
-
         executor = Executor(toy_table)
         with pytest.raises(ValueError):
             executor.execute(SelectionQuery.match_all(), offset=-1)
@@ -162,3 +164,101 @@ class TestCountOnlyPath:
         ):
             expected = len(executor.execute(query))
             assert executor.count(query) == expected
+
+
+_GRID_SCHEMA = RelationSchema.build(
+    "grid", categorical=("A", "B"), numeric=("N",), order=("A", "B", "N")
+)
+_GRID_ROWS = [
+    ("a", "x", 1),
+    ("a", "x", 2),
+    ("a", "y", 3),
+    ("a", "y", 4),
+    ("b", "x", 5),
+    ("b", "x", 6),
+    ("b", "y", 7),
+]
+
+
+@pytest.fixture(params=[Table, ColumnarTable], ids=["row", "columnar"])
+def grid_executor(request) -> Executor:
+    table = request.param(_GRID_SCHEMA)
+    table.extend(_GRID_ROWS)
+    return Executor(table)
+
+
+class TestPostingIntersection:
+    """Index-served conjuncts are intersected, never verified row by row."""
+
+    def test_disjoint_postings_examine_nothing(self, grid_executor):
+        # Both postings hold rows, but none in common: the old
+        # driver-and-verify plan examined the driver's 3 rows.
+        query = SelectionQuery((Eq("A", "b"), Eq("B", "y"), Eq("N", 1)))
+        assert len(grid_executor.execute(query)) == 0
+        assert grid_executor.stats.rows_examined == 0
+        assert grid_executor.stats.postings_intersected == 2
+
+    def test_only_survivors_are_examined(self, grid_executor):
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "x")))
+        assert grid_executor.execute(query).row_ids == (0, 1)
+        assert grid_executor.stats.rows_examined == 2
+        assert grid_executor.stats.postings_intersected == 1
+
+    def test_larger_range_stays_residual(self, grid_executor):
+        # Survivors {0, 1} are fewer than Between's 4 candidates, so the
+        # range is verified on the survivors instead of materialised.
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "x"), Between("N", 2, 5)))
+        assert grid_executor.execute(query).row_ids == (1,)
+        assert grid_executor.stats.rows_examined == 2
+        assert grid_executor.stats.postings_intersected == 1
+
+    def test_range_no_larger_than_survivors_is_intersected(self, grid_executor):
+        query = SelectionQuery((Eq("A", "b"), Between("N", 5, 7)))
+        assert grid_executor.execute(query).row_ids == (4, 5, 6)
+        assert grid_executor.stats.postings_intersected == 1
+
+    def test_smallest_range_drives(self, grid_executor):
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "x"), Between("N", 1, 1)))
+        assert grid_executor.execute(query).row_ids == (0,)
+        assert grid_executor.stats.rows_examined == 1
+        assert grid_executor.stats.postings_intersected == 2
+
+    def test_isin_postings_are_unioned_then_intersected(self, grid_executor):
+        query = SelectionQuery((IsIn("A", ["a", "b"]), Eq("B", "y")))
+        assert grid_executor.execute(query).row_ids == (2, 3, 6)
+        assert grid_executor.stats.rows_examined == 3
+
+    def test_unindexable_conjunct_is_verified_on_survivors(self, grid_executor):
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "y"), Ne("N", 3)))
+        assert grid_executor.execute(query).row_ids == (3,)
+        assert grid_executor.stats.rows_examined == 2
+
+    def test_paging_over_intersection_keeps_row_id_order(self, grid_executor):
+        query = SelectionQuery((Eq("B", "x"), IsIn("A", ["a", "b"])))
+        first = grid_executor.execute(query, limit=2)
+        second = grid_executor.execute(query, limit=2, offset=2)
+        assert first.row_ids == (0, 1) and first.truncated
+        assert second.row_ids == (4, 5) and not second.truncated
+
+    def test_count_without_residual_does_no_row_work(self, grid_executor):
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "x")))
+        assert grid_executor.count(query) == 2
+        assert grid_executor.stats.rows_examined == 2
+        assert grid_executor.stats.rows_returned == 0
+
+    def test_count_with_residual(self, grid_executor):
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "x"), Between("N", 2, 5)))
+        assert grid_executor.count(query) == 1
+
+    def test_single_index_predicate_is_not_an_intersection(self, grid_executor):
+        grid_executor.execute(SelectionQuery((Eq("A", "a"),)))
+        assert grid_executor.stats.postings_intersected == 0
+
+    def test_rows_inserted_after_a_probe_are_found(self):
+        table = Table(_GRID_SCHEMA)
+        table.extend(_GRID_ROWS)
+        executor = Executor(table)
+        query = SelectionQuery((Eq("A", "a"), Eq("B", "x")))
+        assert executor.execute(query).row_ids == (0, 1)
+        table.insert(("a", "x", 8))
+        assert executor.execute(query).row_ids == (0, 1, 7)

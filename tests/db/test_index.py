@@ -48,6 +48,47 @@ class TestHashIndex:
         with pytest.raises(TypeError):
             self.make().candidates(Lt("Make", "M"))
 
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            Eq("Make", "Ford"),
+            Eq("Make", "BMW"),
+            IsIn("Make", ["Honda", "Toyota"]),
+            IsIn("Make", ["Ford", "BMW"]),
+        ],
+    )
+    def test_size_and_set_agree_with_candidates(self, predicate):
+        index = self.make()
+        candidates = index.candidates(predicate)
+        assert index.size(predicate) == len(candidates)
+        assert index.candidate_set(predicate) == frozenset(candidates)
+
+    def test_posting_set_is_memoised(self):
+        index = self.make()
+        first = index.candidate_set(Eq("Make", "Ford"))
+        assert index.candidate_set(Eq("Make", "Ford")) is first
+
+    def test_add_invalidates_the_grown_posting_set(self):
+        index = self.make()
+        ford = index.candidate_set(Eq("Make", "Ford"))
+        honda = index.candidate_set(Eq("Make", "Honda"))
+        index.add("Ford", 4)
+        assert index.candidate_set(Eq("Make", "Ford")) == {0, 2, 4}
+        assert ford == {0, 2}  # the old set was never mutated
+        assert index.candidate_set(Eq("Make", "Honda")) is honda
+
+    def test_missing_value_posting_is_empty_and_uncached(self):
+        index = self.make()
+        assert index.candidate_set(Eq("Make", "BMW")) == frozenset()
+        index.add("BMW", 4)
+        assert index.candidate_set(Eq("Make", "BMW")) == {4}
+
+    def test_size_and_set_reject_unservable_predicates(self):
+        with pytest.raises(TypeError):
+            self.make().size(Lt("Make", "M"))
+        with pytest.raises(TypeError):
+            self.make().candidate_set(Lt("Make", "M"))
+
 
 class TestSortedIndex:
     def make(self) -> SortedIndex:
@@ -103,6 +144,31 @@ class TestSortedIndex:
     )
     def test_candidates(self, predicate, expected):
         assert sorted(self.make().candidates(predicate)) == expected
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            Eq("Price", 30),
+            Eq("Price", 31),
+            Lt("Price", 10),
+            Le("Price", 30),
+            Gt("Price", 50),
+            Ge("Price", 30),
+            Between("Price", 15, 35),
+            Between("Price", 60, 70),
+        ],
+    )
+    def test_size_and_set_agree_with_candidates(self, predicate):
+        index = self.make()
+        candidates = index.candidates(predicate)
+        assert index.size(predicate) == len(candidates)
+        assert index.candidate_set(predicate) == frozenset(candidates)
+
+    def test_size_sees_incremental_adds(self):
+        index = self.make()
+        assert index.size(Between("Price", 20, 30)) == 2
+        index.add(25, 9)
+        assert index.size(Between("Price", 20, 30)) == 3
 
     def test_serves(self):
         index = self.make()
