@@ -12,8 +12,10 @@ make everything else work:
   computable in O(n) with two scratch arrays.
 
 The product implementation below is the standard TANE one (their
-Algorithm "stripped product"), careful to reuse a probe table ``T``
-across classes.
+Algorithm "stripped product"), with the probe table ``T`` being the
+smaller input's memoised row→class map: TANE reuses each lattice
+partition as a product input many times, so the table is built once
+per partition rather than once per product.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ class StrippedPartition:
 
     classes: tuple[tuple[int, ...], ...]
     n_rows: int
-    # row id -> stripped-class id, built lazily on the first class_of()
-    # call.  The TANE mining path compares ranks only, so eagerly
-    # materialising this map for every lattice node was pure overhead;
-    # only refines() and the g3 error measure ever need it.
+    # row id -> stripped-class id, built lazily on the first class_map()
+    # call and kept.  Only probe-side partitions ever build it: the
+    # smaller input of a product and the determinant of a g3 error.
+    # Products and the combined partitions g3 reads never do, which is
+    # what keeps the lattice's memory down.
     _class_of: dict[int, int] | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -48,7 +51,7 @@ class StrippedPartition:
     @property
     def stripped_size(self) -> int:
         """‖π‖: number of tuples that appear in a non-singleton class."""
-        return sum(len(members) for members in self.classes)
+        return sum(map(len, self.classes))
 
     @property
     def num_stripped_classes(self) -> int:
@@ -69,16 +72,24 @@ class StrippedPartition:
         """
         return self.stripped_size - len(self.classes)
 
-    def class_of(self, row_id: int) -> int | None:
-        """Stripped-class id containing ``row_id``, or None (singleton)."""
+    def class_map(self) -> dict[int, int]:
+        """Memoised row id → stripped-class id map (singletons absent).
+
+        Callers must not mutate it.
+        """
         class_of = self._class_of
         if class_of is None:
-            class_of = {}
-            for class_id, members in enumerate(self.classes):
-                for row_id_ in members:
-                    class_of[row_id_] = class_id
+            class_of = {
+                row_id: class_id
+                for class_id, members in enumerate(self.classes)
+                for row_id in members
+            }
             object.__setattr__(self, "_class_of", class_of)
-        return class_of.get(row_id)
+        return class_of
+
+    def class_of(self, row_id: int) -> int | None:
+        """Stripped-class id containing ``row_id``, or None (singleton)."""
+        return self.class_map().get(row_id)
 
     def refines(self, other: "StrippedPartition") -> bool:
         """True when every class of self lies inside a class of other.
@@ -122,28 +133,26 @@ def partition_product(
 ) -> StrippedPartition:
     """Compute the stripped product π_left · π_right in O(n).
 
-    Implements TANE's two-array algorithm: ``probe`` maps tuple id →
-    left-class id, then each right class is split by that mapping.
+    Implements TANE's two-array algorithm: the smaller input's
+    row→class map is the probe table, and each class of the other
+    input is split by it.  The map is memoised on that input (see
+    :meth:`StrippedPartition.class_map`), never on the product.
     """
     if left.n_rows != right.n_rows:
         raise ValueError(
             f"partition sizes differ: {left.n_rows} vs {right.n_rows}"
         )
-    # Iterate over the smaller side's classes for the probe table: the
-    # product is symmetric, and probing with fewer classes is cheaper.
+    # Probe through the smaller side: the product is symmetric, and its
+    # map is the cheaper one to build and to keep.
     if left.stripped_size > right.stripped_size:
         left, right = right, left
 
-    probe: dict[int, int] = {}
-    for class_id, members in enumerate(left.classes):
-        for row_id in members:
-            probe[row_id] = class_id
-
+    probe = left.class_map().get
     new_classes: list[tuple[int, ...]] = []
     bucket: dict[int, list[int]] = {}
     for members in right.classes:
         for row_id in members:
-            left_class = probe.get(row_id)
+            left_class = probe(row_id)
             if left_class is not None:
                 bucket.setdefault(left_class, []).append(row_id)
         for group in bucket.values():

@@ -18,7 +18,9 @@ one overhead guard for the resilience layer:
 ``lazy_partition``
     TANE-style partition products reading ranks only, with the
     row→class map forced after every construction (the seed's eager
-    ``__post_init__`` behaviour) vs built lazily (never, on this path).
+    ``__post_init__`` behaviour) vs built lazily: only on each product's
+    smaller input, where it is memoised and reused as the probe table,
+    and never on a product.
 ``resilience_overhead``
     Repeated answering on a healthy source through the plain facade vs
     through :class:`~repro.resilience.ResilientWebDatabase` with a full

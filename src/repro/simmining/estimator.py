@@ -59,7 +59,8 @@ from repro.simmining.index import SuperTupleIndex, TopSimilarIndex
 from repro.simmining.supertuple import (
     SuperTuple,
     build_binners,
-    build_supertuple,
+    keyword_columns,
+    supertuple_from_keywords,
 )
 
 __all__ = [
@@ -309,7 +310,10 @@ class ValueSimilarityMiner:
         """Phase 1 (Table 2's "SuperTuple Generation").
 
         Builds one supertuple per sufficiently frequent AV-pair over the
-        given categorical attributes (default: all of them).
+        given categorical attributes (default: all of them).  The
+        sample's keyword columns are derived once, inside the timed
+        phase, and each AV-pair's bags are counted from its posting's
+        row ids.
         """
         schema = table.schema
         names = tuple(attributes) if attributes is not None else schema.categorical_names
@@ -324,7 +328,11 @@ class ValueSimilarityMiner:
             labels={"phase": "supertuple"},
             n_attributes=len(names),
         ) as phase:
-            binners = build_binners(table, self.config.numeric_bins)
+            keywords = keyword_columns(
+                {attribute.name: table.column(attribute.name) for attribute in schema},
+                schema,
+                build_binners(table, self.config.numeric_bins),
+            )
             supertuples: dict[AVPair, SuperTuple] = {}
             for name in names:
                 attribute_start = time.perf_counter() if observing else 0.0
@@ -334,8 +342,8 @@ class ValueSimilarityMiner:
                     if len(row_ids) < self.config.min_value_count:
                         continue
                     avpair = AVPair(name, value)
-                    supertuples[avpair] = build_supertuple(
-                        avpair, table.rows(row_ids), schema, binners
+                    supertuples[avpair] = supertuple_from_keywords(
+                        avpair, row_ids, keywords
                     )
                 if observing:
                     OBS.registry.histogram(

@@ -8,6 +8,11 @@ numeric values are discretised into range labels — Table 1 itself shows
 ``Mileage 10k-15k:3`` and ``Price 1k-5k:5`` — so a
 :class:`NumericBinner` derived from the sample's extents produces those
 labels here.
+
+Bags are counted column-wise: :func:`keyword_columns` turns a sample's
+columns into keyword columns once (a range label is computed once per
+distinct numeric value), and :func:`supertuple_from_keywords` counts
+one AV-pair's bags from its answer set's row ids.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from repro.db.table import Table
 from repro.simmining.avpair import AVPair
 from repro.simmining.bag import Bag
 
-__all__ = ["NumericBinner", "SuperTuple", "build_supertuple", "build_binners"]
+__all__ = [
+    "NumericBinner",
+    "SuperTuple",
+    "build_binners",
+    "build_supertuple",
+    "keyword_columns",
+    "supertuple_from_keywords",
+]
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,56 @@ class SuperTuple:
         return "\n".join(lines)
 
 
+def keyword_columns(
+    columns: Mapping[str, Sequence[object]],
+    schema: RelationSchema,
+    binners: Mapping[str, NumericBinner] | None = None,
+) -> dict[str, Sequence[object]]:
+    """Each attribute's bag keywords, row-aligned with ``columns``.
+
+    A value is its own keyword, except that a numeric attribute with a
+    binner maps each value to its range label, computed once per
+    distinct value.  Nulls stay None and contribute nothing to a bag.
+    """
+    binners = binners or {}
+    keywords: dict[str, Sequence[object]] = {}
+    for attribute in schema:
+        name = attribute.name
+        column = columns[name]
+        binner = binners.get(name) if attribute.is_numeric else None
+        if binner is None:
+            keywords[name] = column
+            continue
+        labels: dict[object, object] = {
+            value: binner.label(float(value))  # type: ignore[arg-type]
+            for value in set(column)
+            if value is not None
+        }
+        labels[None] = None
+        keywords[name] = [labels[value] for value in column]
+    return keywords
+
+
+def supertuple_from_keywords(
+    avpair: AVPair,
+    row_ids: Sequence[int],
+    keywords: Mapping[str, Sequence[object]],
+) -> SuperTuple:
+    """The supertuple of the answer set ``row_ids`` over keyword columns.
+
+    ``row_ids`` must index the answer set of ``avpair.as_query()`` in
+    ``keywords`` (see :func:`keyword_columns`); the builder does not
+    re-filter.  Each bag counts its keywords in ``row_ids`` order.
+    """
+    bags: dict[str, Bag] = {}
+    for name, column in keywords.items():
+        if name == avpair.attribute:
+            continue
+        present = [k for k in map(column.__getitem__, row_ids) if k is not None]
+        bags[name] = Bag(present)
+    return SuperTuple(avpair=avpair, bags=bags, answerset_size=len(row_ids))
+
+
 def build_supertuple(
     avpair: AVPair,
     rows: Sequence[tuple],
@@ -135,23 +197,9 @@ def build_supertuple(
     the builder does not re-filter.  Null values contribute nothing to
     the bags.
     """
-    binners = binners or {}
-    keyword_lists: dict[str, list] = {
-        attribute.name: []
-        for attribute in schema
-        if attribute.name != avpair.attribute
+    columns = {
+        attribute.name: [row[position] for row in rows]
+        for position, attribute in enumerate(schema)
     }
-    for row in rows:
-        for attribute in schema:
-            name = attribute.name
-            if name == avpair.attribute:
-                continue
-            value = row[schema.position(name)]
-            if value is None:
-                continue
-            if attribute.is_numeric and name in binners:
-                keyword_lists[name].append(binners[name].label(float(value)))
-            else:
-                keyword_lists[name].append(value)
-    bags = {name: Bag(items) for name, items in keyword_lists.items()}
-    return SuperTuple(avpair=avpair, bags=bags, answerset_size=len(rows))
+    keywords = keyword_columns(columns, schema, binners)
+    return supertuple_from_keywords(avpair, range(len(rows)), keywords)

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.afd.g3 import dependency_error, key_error
-from repro.afd.partition import partition_product, partition_single
+from repro.afd.partition import (
+    StrippedPartition,
+    partition_product,
+    partition_single,
+)
 
 
 def fd_error(lhs_column, rhs_column):
@@ -46,6 +50,14 @@ class TestDependencyError:
     def test_empty_relation(self):
         empty = partition_single([])
         assert dependency_error(empty, empty) == 0.0
+
+    def test_combined_must_refine_lhs(self):
+        # Rows 2 and 3 are lhs singletons, so a combined class holding
+        # them cannot be a sub-class of any lhs class.
+        lhs = partition_single(["a", "a", "b", "c"])
+        combined = StrippedPartition(classes=((2, 3),), n_rows=4)
+        with pytest.raises(ValueError, match="does not refine"):
+            dependency_error(lhs, combined)
 
 
 class TestKeyError:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.afd.g3 import dependency_error
 from repro.afd.partition import (
     StrippedPartition,
     partition_product,
@@ -123,3 +124,30 @@ class TestLazyClassMap:
         product = partition_product(left, right)
         assert product.rank >= 0
         assert product._class_of is None
+
+    def test_product_builds_map_on_smaller_input_only(self):
+        small = partition_single(["a", "a", "b", "c", "d", "e"])
+        large = partition_single(["x", "x", "x", "y", "y", "y"])
+        assert small.stripped_size < large.stripped_size
+        for product in (
+            partition_product(small, large),
+            partition_product(large, small),
+        ):
+            assert product._class_of is None
+        assert small._class_of is not None
+        assert large._class_of is None
+
+    def test_product_reuses_the_memoised_map(self):
+        small = partition_single(["a", "a", "b", "c"])
+        large = partition_single(["x", "x", "x", "y"])
+        partition_product(small, large)
+        probe = small._class_of
+        partition_product(large, small)
+        assert small._class_of is probe
+
+    def test_g3_builds_map_on_lhs_only(self):
+        lhs = partition_single(["a", "a", "a", "b", "b"])
+        combined = StrippedPartition(classes=((0, 1), (3, 4)), n_rows=5)
+        assert dependency_error(lhs, combined) == 1 / 5
+        assert lhs._class_of is not None
+        assert combined._class_of is None

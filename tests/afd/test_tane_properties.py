@@ -15,26 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.afd.tane import TaneConfig, TaneMiner
-from repro.db.schema import RelationSchema
 from repro.db.table import Table
+from tests.strategies import skewed_tables
 
-ATTRIBUTES = ("A", "B", "C", "D")
 
-
-@st.composite
-def small_tables(draw):
-    n_rows = draw(st.integers(min_value=1, max_value=18))
-    rows = [
-        tuple(
-            draw(st.sampled_from("xyz"))
-            for _ in ATTRIBUTES
-        )
-        for _ in range(n_rows)
-    ]
-    schema = RelationSchema.build("T", categorical=ATTRIBUTES)
-    table = Table(schema)
-    table.extend(rows)
-    return table
+def small_tables():
+    """Up to 200 rows: nulls, a numeric column, skewed cardinalities."""
+    return skewed_tables(min_rows=1)
 
 
 def brute_force_fd_error(table: Table, lhs: tuple[str, ...], rhs: str) -> float:

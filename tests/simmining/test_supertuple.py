@@ -7,6 +7,7 @@ from repro.simmining.supertuple import (
     NumericBinner,
     build_binners,
     build_supertuple,
+    keyword_columns,
 )
 
 
@@ -106,3 +107,29 @@ class TestBuildSupertuple:
         rows = toy_table.rows(toy_table.hash_index("Make").lookup("Toyota"))
         text = build_supertuple(avpair, rows, toy_table.schema).describe()
         assert "Make=Toyota" in text and "Model" in text
+
+
+class TestKeywordColumns:
+    def test_label_computed_once_per_distinct_value(self, toy_schema, monkeypatch):
+        labelled = []
+        label = NumericBinner.label
+
+        def counting_label(binner, value):
+            labelled.append(value)
+            return label(binner, value)
+
+        monkeypatch.setattr(NumericBinner, "label", counting_label)
+        columns = {
+            "Make": ["Ford", "Ford", "Kia", "Kia"],
+            "Model": ["Focus", None, "Rio", "Rio"],
+            "Price": [7000, 7000, 7000.0, None],
+            "Year": [2001, 2002, None, 2001],
+        }
+        binners = {"Price": NumericBinner("Price", 0, 10000, 2)}
+        keywords = keyword_columns(columns, toy_schema, binners)
+        # 7000 and 7000.0 are one distinct value; the null needs no label.
+        assert len(labelled) == 1
+        assert keywords["Price"] == ["5000-10000"] * 3 + [None]
+        # Columns without a binner are their own keywords.
+        assert keywords["Model"] is columns["Model"]
+        assert keywords["Year"] is columns["Year"]
