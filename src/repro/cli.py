@@ -41,7 +41,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -100,7 +99,6 @@ from repro.perf.bench import (
 )
 from repro.resilience import ResilienceError, ResiliencePolicy, ResilientWebDatabase
 from repro.serve import AIMQServer, ServeConfig, preregister_serve_metrics
-from repro.simmining.index import preregister_index_metrics
 
 __all__ = ["main", "build_parser"]
 
@@ -113,24 +111,10 @@ def _dataset_webdb(name: str, rows: int, seed: int) -> AutonomousWebDatabase:
     raise ValueError(f"unknown dataset {name!r}")
 
 
-def _dataset_settings(name: str, sim_index: bool = False) -> AIMQSettings:
+def _dataset_settings(name: str) -> AIMQSettings:
     if name == "censusdb":
-        settings = census_settings(error_threshold=0.3)
-    else:
-        settings = AIMQSettings(max_relaxation_level=3)
-    if sim_index:
-        # Inverted-index retrieval end to end: candidate generation
-        # during mining, the neighbour index behind top_similar, and
-        # bound-based early termination while ranking.  Answers are
-        # bit-identical either way (docs/PERFORMANCE.md §9).
-        settings = dataclasses.replace(
-            settings,
-            indexed_ranking=True,
-            simmining=dataclasses.replace(
-                settings.simmining, use_index=True, index_topk=True
-            ),
-        )
-    return settings
+        return census_settings(error_threshold=0.3)
+    return AIMQSettings(max_relaxation_level=3)
 
 
 def _parse_binding(text: str) -> tuple[str, object]:
@@ -176,9 +160,7 @@ def _mine_model(args: argparse.Namespace) -> tuple[AutonomousWebDatabase, AIMQMo
         webdb,
         sample_size=args.sample,
         rng=random.Random(args.seed + 1),
-        settings=_dataset_settings(
-            args.dataset, sim_index=getattr(args, "sim_index", False)
-        ),
+        settings=_dataset_settings(args.dataset),
     )
     return webdb, model
 
@@ -353,10 +335,6 @@ def _preregister_stats_families() -> None:
     # The serving families too: a stats dump should show the server-side
     # metric shapes even when no server ran in this process.
     preregister_serve_metrics(registry)
-    # And the inverted-index families: a run without --sim-index keeps
-    # them at zero, which is exactly the "quiet, not absent" signal the
-    # dump exists to provide.
-    preregister_index_metrics(registry)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -479,7 +457,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sample=args.sample,
         seed=args.seed,
         model_path=args.model,
-        sim_index=getattr(args, "sim_index", False),
         default_k=args.k,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
@@ -630,12 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=7)
         sub.add_argument(
             "--model", help="load a stored model instead of mining"
-        )
-        sub.add_argument(
-            "--sim-index",
-            action="store_true",
-            help="mine and answer through the inverted similarity "
-            "index (identical answers, sublinear retrieval)",
         )
 
     mine = subparsers.add_parser(

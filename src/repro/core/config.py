@@ -61,17 +61,6 @@ class AIMQSettings:
         with ``between ±band`` rather than exact equality, because
         continuous values almost never repeat exactly.  Zero restores
         strict equality binding.
-    indexed_ranking:
-        When True, candidate rows are scored through the
-        early-terminating :class:`~repro.core.similarity.BoundedScorer`:
-        rows whose score upper bound (per-term caps from the mined
-        neighbour index) provably cannot clear
-        ``similarity_threshold`` are dropped without full scoring.
-        Kept answers are bit-identical to the plain path; the bound is
-        sharpest when the model was mined with
-        ``simmining.index_topk=True``.  Automatically bypassed while
-        observability is recording the score histogram (which needs
-        every score).
     tane:
         Dependency-miner configuration (``T_err`` lives here).  The
         default discretises numeric attributes into 8 equal-width bins
@@ -93,7 +82,6 @@ class AIMQSettings:
     importance_smoothing: float = 0.3
     numeric_similarity_mode: str = "relative"
     tuple_query_numeric_band: float = 0.1
-    indexed_ranking: bool = False
     tane: TaneConfig = field(
         default_factory=lambda: TaneConfig(
             numeric_bins=8, key_error_threshold=0.45

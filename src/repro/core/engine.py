@@ -348,29 +348,24 @@ class AIMQEngine:
         )
         # Every extracted tuple is compared against this one base row;
         # compile the reference bindings once instead of per comparison.
-        base_scorer = self.similarity.row_scorer(base_row)
+        # The scorer stops on a row as soon as it provably cannot clear
+        # the threshold; every score it returns is exact.
+        base_scorer = self.similarity.bounded_row_scorer(base_row, threshold)
         quota = target if target is not None else settings.target_per_base_tuple
         relevant_found = 0
         extracted = 0
         observing = OBS.enabled
-        # Bounded scoring drops provably-below-threshold rows without a
-        # full evaluation; every kept score is exact, so answers are
-        # bit-identical.  The score histogram must see every score, so
-        # observability forces the plain path.
-        bounded_scorer = (
-            self.similarity.bounded_row_scorer(base_row, threshold)
-            if settings.indexed_ranking and not observing
-            else None
-        )
-        score_histogram = (
-            OBS.registry.histogram(
+        if observing:
+            score_histogram = OBS.registry.histogram(
                 "repro_core_similarity_score",
-                "Base-tuple similarity of every extracted tuple.",
+                "Base-tuple similarity of every scored extracted tuple.",
                 buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
             )
-            if observing
-            else None
-        )
+            cut_counter = OBS.registry.counter(
+                "repro_core_similarity_cut_total",
+                "Extracted tuples cut before a full score, as provably "
+                "at or below T_sim.",
+            )
 
         with OBS.span(
             "engine.expand_base_tuple", base_row_id=base_row_id
@@ -438,15 +433,13 @@ class AIMQEngine:
                         continue
                     extracted += 1
                     trace.tuples_extracted += 1
-                    if bounded_scorer is not None:
-                        maybe_score = bounded_scorer.score_above(row)
-                        if maybe_score is None:
-                            continue  # proven <= threshold, never kept
-                        base_similarity = maybe_score
-                    else:
-                        base_similarity = base_scorer(row)
-                        if score_histogram is not None:
-                            score_histogram.observe(base_similarity)
+                    base_similarity = base_scorer.score_above(row)
+                    if base_similarity is None:
+                        if observing:
+                            cut_counter.inc()
+                        continue
+                    if observing:
+                        score_histogram.observe(base_similarity)
                     if base_similarity <= threshold:
                         continue
                     existing = extended.get(row_id)

@@ -21,6 +21,8 @@ column positions and per-value similarity lookups resolved once and
 reused across every candidate row.  Both paths perform the identical
 floating-point operations in the identical order, so their scores are
 bit-for-bit equal (asserted by the fast-path equivalence tests).
+:class:`BoundedScorer` walks the same compiled plan with Algorithm 1
+step 7's ``T_sim`` cut built in; it scores every extracted tuple.
 """
 
 from __future__ import annotations
@@ -41,12 +43,11 @@ __all__ = [
     "BoundedScorer",
 ]
 
-#: Slack on the bounded scorer's skip cutoff.  The per-term caps
-#: dominate the true terms exactly, but floating-point summation is not
-#: termwise monotone, so skips require clearing the threshold by a
-#: margin ~1e6× the worst-case rounding error at these magnitudes
-#: (the same argument as the miner's ``_PRUNE_SLACK``).
-_BOUND_SLACK = 1e-9
+#: Slack on the bounded scorer's cut.  The cut compares a rounded
+#: running sum against a rounded bound, so a row is cut only when it
+#: misses the threshold by a margin ~1e6× the worst-case rounding
+#: error of a sum of at most a few dozen terms in [0, 1].
+_CUT_SLACK = 1e-9
 
 
 def numeric_similarity(reference: float, candidate: float) -> float:
@@ -110,55 +111,44 @@ class BindingsScorer:
 
 
 class BoundedScorer:
-    """Threshold-aware Sim(reference, ·): a proven skip or the exact score.
+    """Sim(reference, ·) with the ``T_sim`` cut of Algorithm 1 step 7.
 
-    Wraps a :class:`BindingsScorer` with per-term *score upper bounds*:
-    a categorical candidate equal to the reference can score at most
-    ``weight·1.0``, any other candidate at most ``weight·cap`` where
-    ``cap`` is the largest mined similarity involving the reference
-    value (the head of its neighbour posting list —
-    ``SimilarityModel.max_similarity``; 1.0 when no index is mined).
-    Numeric terms keep the trivial cap 1.0.
-
-    :meth:`score_above` walks the bound terms with a running
-    suffix-weight cutoff and returns ``None`` as soon as the remaining
-    terms provably cannot lift the row over the threshold — otherwise
-    it delegates to the exact scorer, so every returned score is
-    bit-identical to the plain path.  Soundness: a skip requires
-    ``Σ bound_t ≤ threshold − slack`` with each ``bound_t`` dominating
-    its true term, so the true score cannot exceed the threshold.
+    Walks the same ``(column position, weight, value scorer)`` plan as
+    :class:`BindingsScorer`, adding each exact term in the same order,
+    and gives up on a row as soon as the running sum plus the weights
+    of the terms still to come is ≤ ``threshold − 1e-9``.  Every term
+    is ``weight · s`` with ``weight ≥ 0`` and ``s ∈ [0, 1]``, so the
+    unseen terms add at most their weights and a cut row scores at
+    most the threshold.  A row that is not cut gets the exact sum,
+    bit-identical to :meth:`BindingsScorer.__call__`.
     """
 
-    __slots__ = ("_scorer", "_bound_plan", "_suffix", "_cutoff")
+    __slots__ = ("_plan",)
 
     def __init__(
         self,
-        scorer: BindingsScorer,
-        bound_plan: Sequence[
-            tuple[float, Callable[[Sequence[object]], float]]
-        ],
+        plan: Sequence[tuple[int, float, Callable[[object], float]]],
         threshold: float,
     ) -> None:
-        self._scorer = scorer
-        self._bound_plan = tuple(bound_plan)
-        self._cutoff = threshold - _BOUND_SLACK
-        # suffix[t] = Σ_{u>t} weight_u — the most the unseen terms can add.
-        weights = [weight for weight, _ in self._bound_plan]
-        suffix = [0.0] * len(weights)
-        acc = 0.0
-        for index in range(len(weights) - 1, 0, -1):
-            acc += weights[index]
-            suffix[index - 1] = acc
-        self._suffix = tuple(suffix)
+        # Each term carries its cut: the running sum after it must
+        # exceed threshold − slack − (weights of the later terms).
+        steps: list[tuple[int, float, Callable[[object], float], float]] = []
+        remaining = 0.0
+        for position, weight, value_score in reversed(plan):
+            steps.append(
+                (position, weight, value_score, threshold - _CUT_SLACK - remaining)
+            )
+            remaining += weight
+        self._plan = tuple(reversed(steps))
 
     def score_above(self, row: Sequence[object]) -> float | None:
         """Exact Sim(reference, row), or None when provably ≤ threshold."""
-        bound = 0.0
-        for index, (_, term_bound) in enumerate(self._bound_plan):
-            bound += term_bound(row)
-            if bound + self._suffix[index] <= self._cutoff:
+        total = 0.0
+        for position, weight, value_score, cutoff in self._plan:
+            total += weight * value_score(row[position])
+            if total <= cutoff:
                 return None
-        return self._scorer(row)
+        return total
 
 
 class TupleSimilarity:
@@ -252,23 +242,13 @@ class TupleSimilarity:
         drops ``None`` references (whose reference-path contribution is
         exactly ``weight * 0.0``).
         """
-        attributes = tuple(bindings)
-        if not attributes:
-            return BindingsScorer(())
-        weights = self._weights_for(attributes)
-        plan: list[tuple[int, float, Callable[[object], float]]] = []
-        for attribute, reference in bindings.items():
-            weight = weights[attribute]
-            if weight == 0.0 or reference is None:
-                continue
-            plan.append(
-                (
-                    self.schema.position(attribute),
-                    weight,
-                    self._value_scorer(attribute, reference),
-                )
-            )
-        return BindingsScorer(plan)
+        return BindingsScorer(self._plan(bindings))
+
+    def bounded_scorer(
+        self, bindings: Mapping[str, object], threshold: float
+    ) -> BoundedScorer:
+        """Compile Sim(bindings, ·) with the cut at ``threshold``."""
+        return BoundedScorer(self._plan(bindings), threshold)
 
     def query_scorer(self, query: ImpreciseQuery) -> BindingsScorer:
         """Compiled form of :meth:`sim_to_query` for one query."""
@@ -284,42 +264,7 @@ class TupleSimilarity:
         attributes: tuple[str, ...] | None = None,
     ) -> BindingsScorer:
         """Compiled form of :meth:`sim_between_rows` for one base tuple."""
-        names = attributes if attributes is not None else self.schema.attribute_names
-        bindings = {
-            name: reference_row[self.schema.position(name)]
-            for name in names
-            if reference_row[self.schema.position(name)] is not None
-        }
-        return self.bindings_scorer(bindings)
-
-    def bounded_scorer(
-        self, bindings: Mapping[str, object], threshold: float
-    ) -> BoundedScorer:
-        """Compile Sim(bindings, ·) with early termination at ``threshold``.
-
-        The bound plan mirrors :meth:`bindings_scorer` term for term
-        (same filtering, same order); categorical caps come from the
-        mined model's neighbour index via
-        ``SimilarityModel.max_similarity`` (1.0 without one).
-        """
-        scorer = self.bindings_scorer(bindings)
-        attributes = tuple(bindings)
-        bound_plan: list[
-            tuple[float, Callable[[Sequence[object]], float]]
-        ] = []
-        if attributes:
-            weights = self._weights_for(attributes)
-            for attribute, reference in bindings.items():
-                weight = weights[attribute]
-                if weight == 0.0 or reference is None:
-                    continue
-                bound_plan.append(
-                    (
-                        weight,
-                        self._term_bound(attribute, reference, weight),
-                    )
-                )
-        return BoundedScorer(scorer, bound_plan, threshold)
+        return self.bindings_scorer(self._row_bindings(reference_row, attributes))
 
     def bounded_row_scorer(
         self,
@@ -328,46 +273,44 @@ class TupleSimilarity:
         attributes: tuple[str, ...] | None = None,
     ) -> BoundedScorer:
         """Bounded form of :meth:`row_scorer` for one base tuple."""
+        return self.bounded_scorer(
+            self._row_bindings(reference_row, attributes), threshold
+        )
+
+    def _row_bindings(
+        self,
+        reference_row: Sequence[object],
+        attributes: tuple[str, ...] | None,
+    ) -> dict[str, object]:
+        """A base tuple's non-null values as reference bindings."""
         names = attributes if attributes is not None else self.schema.attribute_names
-        bindings = {
+        return {
             name: reference_row[self.schema.position(name)]
             for name in names
             if reference_row[self.schema.position(name)] is not None
         }
-        return self.bounded_scorer(bindings, threshold)
 
-    def _term_bound(
-        self, attribute: str, reference: object, weight: float
-    ) -> Callable[[Sequence[object]], float]:
-        """Upper bound on one term's contribution, memoised per value."""
-        position = self.schema.position(attribute)
-        if self.schema.attribute(attribute).is_numeric:
-            # Numeric closeness can reach 1.0 anywhere in the band, so
-            # the trivial cap is the only sound one.
-            def numeric_bound(row: Sequence[object]) -> float:
-                return 0.0 if row[position] is None else weight
-
-            return numeric_bound
-
-        reference_text = str(reference)
-        cap = weight * self.value_similarity.max_similarity(
-            attribute, reference_text
-        )
-        memo: dict[object, float] = {}
-
-        def categorical_bound(row: Sequence[object]) -> float:
-            candidate = row[position]
-            if candidate is None:
-                return 0.0
-            cached = memo.get(candidate)
-            if cached is None:
-                cached = (
-                    weight if str(candidate) == reference_text else cap
+    def _plan(
+        self, bindings: Mapping[str, object]
+    ) -> list[tuple[int, float, Callable[[object], float]]]:
+        """The ``(position, weight, value scorer)`` terms of Sim(bindings, ·)."""
+        attributes = tuple(bindings)
+        if not attributes:
+            return []
+        weights = self._weights_for(attributes)
+        plan: list[tuple[int, float, Callable[[object], float]]] = []
+        for attribute, reference in bindings.items():
+            weight = weights[attribute]
+            if weight == 0.0 or reference is None:
+                continue
+            plan.append(
+                (
+                    self.schema.position(attribute),
+                    weight,
+                    self._value_scorer(attribute, reference),
                 )
-                memo[candidate] = cached
-            return cached
-
-        return categorical_bound
+            )
+        return plan
 
     def _weights_for(self, attributes: tuple[str, ...]) -> dict[str, float]:
         """Memoised ``ordering.weights_over`` (callers must not mutate)."""

@@ -7,12 +7,14 @@ engine needs — the dependency model, the attribute ordering, the value
 similarities and the settings — to a single JSON document.
 
 The schema itself is serialised too and verified on load, so a stored
-model cannot silently be applied to a different relation.
+model cannot silently be applied to a different relation.  A file this
+build cannot decode fails with :class:`StoreError` and yields no model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from repro.simmining.estimator import SimilarityMinerConfig, SimilarityModel
 
 __all__ = ["FORMAT_VERSION", "StoreError", "save_model", "load_model"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class StoreError(Exception):
@@ -174,10 +176,19 @@ def _load_dependencies(payload: dict) -> DependencyModel:
 
 
 def _load_ordering(payload: dict) -> AttributeOrdering:
+    importance = dict(payload["importance"])
+    for attribute, weight in importance.items():
+        # The engine's T_sim cut is sound only for weights >= 0; mining
+        # guarantees that, a file does not.
+        if not math.isfinite(weight) or weight < 0.0:
+            raise StoreError(
+                f"importance weight {weight!r} of {attribute!r} is not a "
+                "finite number >= 0"
+            )
     best_key = payload["best_key"]
     return AttributeOrdering(
         relaxation_order=tuple(payload["relaxation_order"]),
-        importance=dict(payload["importance"]),
+        importance=importance,
         deciding=tuple(payload["deciding"]),
         dependent=tuple(payload["dependent"]),
         best_key=(
@@ -215,32 +226,38 @@ def _load_settings(payload: dict) -> AIMQSettings:
 def load_model(path: str | Path, schema: RelationSchema) -> AIMQModel:
     """Load a stored model and bind it to ``schema``.
 
-    Raises :class:`StoreError` on version or schema mismatch.  The
+    Raises :class:`StoreError` on version or schema mismatch and on any
+    payload it cannot decode (missing or unknown keys, values of the
+    wrong type or out of range); nothing is returned then.  The
     returned model's ``sample`` is an empty table carrying the schema —
     the probed data is not persisted.
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise StoreError(f"cannot read stored model at {path}: {exc}") from exc
-    version = payload.get("format_version")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != FORMAT_VERSION:
         raise StoreError(
             f"stored model has format version {version!r}; this build "
             f"reads version {FORMAT_VERSION}"
         )
-    _check_schema(payload, schema)
-    timings = BuildTimings(**payload["timings"])
-    return AIMQModel(
-        sample=Table(schema),
-        dependencies=_load_dependencies(payload["dependencies"]),
-        ordering=_load_ordering(payload["ordering"]),
-        value_similarity=_load_similarity(payload["similarity"]),
-        settings=_load_settings(payload["settings"]),
-        timings=timings,
-        numeric_extents={
-            name: (extent[0], extent[1])
-            for name, extent in payload.get("numeric_extents", {}).items()
-        },
-    )
+    try:
+        _check_schema(payload, schema)
+        return AIMQModel(
+            sample=Table(schema),
+            dependencies=_load_dependencies(payload["dependencies"]),
+            ordering=_load_ordering(payload["ordering"]),
+            value_similarity=_load_similarity(payload["similarity"]),
+            settings=_load_settings(payload["settings"]),
+            timings=BuildTimings(**payload["timings"]),
+            numeric_extents={
+                name: (extent[0], extent[1])
+                for name, extent in payload.get("numeric_extents", {}).items()
+            },
+        )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise StoreError(
+            f"cannot decode stored model at {path}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -7,9 +7,6 @@ one overhead guard for the resilience layer:
     Repeated imprecise-query answering with the facade's LRU probe
     cache off (every relaxation probe hits the source) vs on (repeats
     are served from the cache).
-``vsim_mining``
-    ``ValueSimilarityMiner.mine`` in the seed configuration vs
-    ``workers=2`` + ``prune_bound=True`` at the same store threshold.
 ``topk``
     Ranking the extended set with a full sort vs ``heapq.nsmallest``.
 ``similarity_memo``
@@ -68,21 +65,6 @@ one overhead guard for the resilience layer:
     mode whose cost is proportional to span count (per-probe spans
     over microsecond in-memory probes), so its measured fraction is
     reported in ``details["full_overhead"]`` rather than gated.
-``index_mining``
-    ``ValueSimilarityMiner.estimate`` over a clustered table (values
-    co-occur only inside their own cluster) with the full pair grid vs
-    ``use_index=True`` candidate generation from the inverted
-    supertuple index.  Equivalence demands the identical mined model
-    *and* that candidate generation actually skipped pairs
-    (``pairs_skipped > 0``) — an index that degenerates to the grid is
-    a regression even if the timings happen to tie.
-``index_topk``
-    ``SimilarityModel.top_similar`` probes served by the linear scan
-    vs the heap-merged :class:`~repro.simmining.index.TopSimilarIndex`,
-    measured at two model sizes.  The gated timing comes from the
-    large model; equivalence additionally demands identical rankings
-    at both sizes and a speedup that *grows* with the value count —
-    the sublinearity evidence (a constant-factor win would not).
 
 Every scenario checks that the fast and slow paths produced identical
 results; ``check_regressions`` turns a report into CI failures when a
@@ -123,11 +105,6 @@ from repro.db.table import ColumnarTable, Table
 from repro.db.webdb import AutonomousWebDatabase
 from repro.obs.runtime import OBS
 from repro.resilience import ResiliencePolicy, ResilientWebDatabase
-from repro.simmining.estimator import (
-    SimilarityMinerConfig,
-    SimilarityModel,
-    ValueSimilarityMiner,
-)
 
 __all__ = [
     "BenchScale",
@@ -150,10 +127,6 @@ class BenchScale:
     sample: int  # sample size for model building
     repeats: int  # repeated answering passes over the query set
     queries: int  # distinct imprecise queries per pass
-    mining_rows: int  # synthetic mining-table size
-    mining_values: int  # distinct values per mining attribute
-    mining_attributes: int
-    mining_threshold: float  # store_threshold for the mining scenario
     candidates: int  # synthetic extended-set size for top-k
     top_k: int
     score_rows: int  # rows scored per similarity-memo repetition
@@ -173,18 +146,6 @@ class BenchScale:
     # fast path.
     serve_clients: int = 6
     serve_requests: int = 24
-    # index_mining: clustered sparse mining table (values co-occur only
-    # within their cluster, so posting-list intersection prunes all
-    # cross-cluster pairs).
-    index_mining_rows: int = 900
-    index_mining_values: int = 60
-    index_mining_clusters: int = 6
-    # index_topk: linear vs indexed top_similar at two model sizes (the
-    # large/small speedup ratio is the sublinearity evidence).
-    topk_values: int = 400
-    topk_values_large: int = 4_000
-    topk_probes: int = 300
-    topk_neighbors: int = 8
 
 
 SCALES: dict[str, BenchScale] = {
@@ -197,10 +158,6 @@ SCALES: dict[str, BenchScale] = {
         sample=400,
         repeats=3,
         queries=2,
-        mining_rows=700,
-        mining_values=35,
-        mining_attributes=5,
-        mining_threshold=0.5,
         candidates=30_000,
         top_k=10,
         score_rows=400,
@@ -214,10 +171,6 @@ SCALES: dict[str, BenchScale] = {
         sample=1_200,
         repeats=5,
         queries=3,
-        mining_rows=1_500,
-        mining_values=50,
-        mining_attributes=6,
-        mining_threshold=0.5,
         candidates=150_000,
         top_k=10,
         score_rows=1_200,
@@ -238,10 +191,6 @@ SCALES: dict[str, BenchScale] = {
         sample=400,
         repeats=3,
         queries=2,
-        mining_rows=700,
-        mining_values=35,
-        mining_attributes=5,
-        mining_threshold=0.5,
         candidates=30_000,
         top_k=10,
         score_rows=400,
@@ -414,106 +363,6 @@ def bench_probe_cache(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
         fast_seconds=fast_seconds,
         equivalent=slow_out == fast_out,
         details=details,
-    )
-
-
-def _mining_table(scale: BenchScale, seed: int = 61) -> Table:
-    """All-categorical table with Zipf-skewed value frequencies.
-
-    The skew matters: heavy-tailed AV-pair frequencies give the
-    bag-size upper bound real spread, which is exactly the regime the
-    prune targets (most pairs mix one frequent with one rare value and
-    cannot clear the store threshold).
-    """
-    rng = random.Random(seed)
-    names = tuple(f"A{index}" for index in range(scale.mining_attributes))
-    schema = RelationSchema.build(
-        "minebench", categorical=names, numeric=(), order=names
-    )
-    domains = [
-        [f"v{attribute}_{value}" for value in range(scale.mining_values)]
-        for attribute in range(scale.mining_attributes)
-    ]
-    weights = [1.0 / (rank + 1) for rank in range(scale.mining_values)]
-    table = Table(schema)
-    for _ in range(scale.mining_rows):
-        table.insert(
-            tuple(
-                rng.choices(domain, weights=weights, k=1)[0]
-                for domain in domains
-            )
-        )
-    return table
-
-
-def bench_vsim_mining(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    table = _mining_table(scale)
-    threshold = scale.mining_threshold
-    slow_config = SimilarityMinerConfig(store_threshold=threshold)
-    fast_config = SimilarityMinerConfig(
-        store_threshold=threshold,
-        workers=2,
-        prune_bound=True,
-        parallel_chunk_pairs=8_192,
-    )
-
-    slow_model, slow_seconds = _timed(
-        lambda: ValueSimilarityMiner(slow_config).mine(table)
-    )
-    fast_model, fast_seconds = _timed(
-        lambda: ValueSimilarityMiner(fast_config).mine(table)
-    )
-
-    def model_state(model):
-        return (
-            {name: model.pairs(name) for name in model.attributes},
-            {name: model.known_values(name) for name in model.attributes},
-        )
-
-    # Metered serial re-run of the pruned path for the counters (the
-    # parallel path counts identically but meters in worker processes).
-    metered_config = SimilarityMinerConfig(
-        store_threshold=threshold, prune_bound=True
-    )
-    was_enabled = OBS.enabled
-    OBS.reset()
-    OBS.enable()
-    try:
-        ValueSimilarityMiner(metered_config).mine(table)
-        snapshot: dict[str, int] = {}
-        for metric in OBS.registry.snapshot()["metrics"]:
-            if metric["name"].startswith("repro_simmining_pair"):
-                snapshot[metric["name"]] = sum(
-                    series.get("value", 0) for series in metric["series"]
-                )
-    finally:
-        OBS.reset()
-        if not was_enabled:
-            OBS.disable()
-    pairs_total = sum(
-        count * (count - 1) // 2
-        for count in (
-            len(slow_model.known_values(name))
-            for name in slow_model.attributes
-        )
-    )
-    return ScenarioResult(
-        name="vsim_mining",
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=model_state(slow_model) == model_state(fast_model),
-        details={
-            "store_threshold": threshold,
-            "workers": fast_config.workers,
-            "pairs_total": pairs_total,
-            "pairs_evaluated_pruned_path": snapshot.get(
-                "repro_simmining_pair_evaluations_total", 0
-            ),
-            "pairs_pruned": snapshot.get(
-                "repro_simmining_pairs_pruned_total", 0
-            ),
-            "pairs_stored": slow_model.pair_count(),
-        },
     )
 
 
@@ -1034,185 +883,8 @@ def bench_sharded_scatter(
     )
 
 
-def _clustered_mining_table(scale: BenchScale, seed: int = 67) -> Table:
-    """Categorical table whose values co-occur only within clusters.
-
-    Every attribute's value domain is partitioned into
-    ``index_mining_clusters`` disjoint slices, and each row draws all
-    of its values (Zipf-skewed) from one cluster's slices.  Values from
-    different clusters therefore never share a co-occurring AV-pair
-    feature, so posting-list intersection rules their pairs out without
-    evaluation — the regime the inverted index targets, and the shape
-    real web databases have (SUV models co-occur with SUV-ish makes,
-    not with sedans).
-    """
-    rng = random.Random(seed)
-    names = tuple(f"A{index}" for index in range(scale.mining_attributes))
-    schema = RelationSchema.build(
-        "indexbench", categorical=names, numeric=(), order=names
-    )
-    clusters = scale.index_mining_clusters
-    per_cluster = scale.index_mining_values // clusters
-    offsets = range(per_cluster)
-    weights = [1.0 / (rank + 1) for rank in range(per_cluster)]
-    table = Table(schema)
-    for _ in range(scale.index_mining_rows):
-        start = rng.randrange(clusters) * per_cluster
-        table.insert(
-            tuple(
-                "v{}_{}".format(
-                    attribute,
-                    start + rng.choices(offsets, weights=weights, k=1)[0],
-                )
-                for attribute in range(len(names))
-            )
-        )
-    return table
-
-
-def bench_index_mining(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    table = _clustered_mining_table(scale)
-    threshold = scale.mining_threshold
-    slow_config = SimilarityMinerConfig(store_threshold=threshold)
-    fast_config = SimilarityMinerConfig(
-        store_threshold=threshold, use_index=True
-    )
-
-    slow_miner = ValueSimilarityMiner(slow_config)
-    fast_miner = ValueSimilarityMiner(fast_config)
-    # Supertuple generation (phase 1) is identical on both paths; the
-    # scenario times similarity estimation (phase 2) alone.
-    slow_miner.build_supertuples(table)
-    fast_miner.build_supertuples(table)
-
-    slow_model, slow_seconds = _timed(lambda: slow_miner.estimate(table))
-    fast_model, fast_seconds = _timed(lambda: fast_miner.estimate(table))
-
-    def model_state(model):
-        return (
-            {name: model.pairs(name) for name in model.attributes},
-            {name: model.known_values(name) for name in model.attributes},
-        )
-
-    # Metered re-run of the indexed path for the candidate-generation
-    # counters (timing above ran with observability off).
-    was_enabled = OBS.enabled
-    OBS.reset()
-    OBS.enable()
-    try:
-        ValueSimilarityMiner(fast_config).mine(table)
-        snapshot: dict[str, int] = {}
-        for metric in OBS.registry.snapshot()["metrics"]:
-            if metric["name"].startswith("repro_simmining_index"):
-                snapshot[metric["name"]] = sum(
-                    series.get("value", 0) for series in metric["series"]
-                )
-    finally:
-        OBS.reset()
-        if not was_enabled:
-            OBS.disable()
-    pairs_total = sum(
-        count * (count - 1) // 2
-        for count in (
-            len(slow_model.known_values(name))
-            for name in slow_model.attributes
-        )
-    )
-    pairs_skipped = snapshot.get("repro_simmining_index_pairs_skipped_total", 0)
-    return ScenarioResult(
-        name="index_mining",
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=(
-            model_state(slow_model) == model_state(fast_model)
-            and pairs_skipped > 0
-        ),
-        details={
-            "store_threshold": threshold,
-            "rows": scale.index_mining_rows,
-            "values_per_attribute": scale.index_mining_values,
-            "clusters": scale.index_mining_clusters,
-            "pairs_total": pairs_total,
-            "candidate_pairs": snapshot.get(
-                "repro_simmining_index_candidate_pairs_total", 0
-            ),
-            "pairs_skipped": pairs_skipped,
-            "postings": snapshot.get(
-                "repro_simmining_index_postings_total", 0
-            ),
-            "pairs_stored": slow_model.pair_count(),
-        },
-    )
-
-
-def _topk_model(
-    values: int, neighbors: int, seed: int, indexed: bool
-) -> SimilarityModel:
-    """Synthetic sparse model: each value has a handful of neighbours.
-
-    Both legs build from the same seed so the linear and indexed models
-    hold bit-identical pairs; only the retrieval structure differs.
-    """
-    rng = random.Random(seed)
-    model = SimilarityModel(("Model",))
-    if indexed:
-        model.enable_top_index()
-    names = [f"m{index}" for index in range(values)]
-    for name in names:
-        model.register_value("Model", name)
-    for index, name in enumerate(names):
-        for _ in range(neighbors):
-            other = names[(index + 1 + rng.randrange(values - 1)) % values]
-            if other != name:
-                model.record("Model", name, other, round(rng.random(), 6))
-    return model
-
-
-def bench_index_topk(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    def measure(values: int) -> tuple[float, float, bool]:
-        linear = _topk_model(values, scale.topk_neighbors, 43, indexed=False)
-        indexed = _topk_model(values, scale.topk_neighbors, 43, indexed=True)
-        probe_rng = random.Random(47)
-        probes = [
-            f"m{probe_rng.randrange(values)}" for _ in range(scale.topk_probes)
-        ]
-
-        def run(model: SimilarityModel) -> list[list[tuple[str, float]]]:
-            return [
-                model.top_similar("Model", probe, n=scale.top_k)
-                for probe in probes
-            ]
-
-        slow_out, slow = _timed(lambda: run(linear))
-        fast_out, fast = _timed(lambda: run(indexed))
-        return slow, fast, slow_out == fast_out
-
-    small_slow, small_fast, small_same = measure(scale.topk_values)
-    large_slow, large_fast, large_same = measure(scale.topk_values_large)
-    small_speedup = small_slow / small_fast if small_fast > 0 else float("inf")
-    large_speedup = large_slow / large_fast if large_fast > 0 else float("inf")
-    return ScenarioResult(
-        name="index_topk",
-        slow_seconds=large_slow,
-        fast_seconds=large_fast,
-        equivalent=(
-            small_same and large_same and large_speedup > small_speedup
-        ),
-        details={
-            "values_small": scale.topk_values,
-            "values_large": scale.topk_values_large,
-            "probes": scale.topk_probes,
-            "neighbors_per_value": scale.topk_neighbors,
-            "top_k": scale.top_k,
-            "speedup_small": round(small_speedup, 3),
-            "speedup_large": round(large_speedup, 3),
-        },
-    )
-
-
 SCENARIOS: dict[str, Callable[[BenchScale, _Fixture], ScenarioResult]] = {
     "probe_cache": bench_probe_cache,
-    "vsim_mining": bench_vsim_mining,
     "topk": bench_topk,
     "similarity_memo": bench_similarity_memo,
     "lazy_partition": bench_lazy_partition,
@@ -1223,8 +895,6 @@ SCENARIOS: dict[str, Callable[[BenchScale, _Fixture], ScenarioResult]] = {
     "columnar_scan": bench_columnar_scan,
     "zone_map_prune": bench_zone_map_prune,
     "sharded_scatter": bench_sharded_scatter,
-    "index_mining": bench_index_mining,
-    "index_topk": bench_index_topk,
 }
 
 

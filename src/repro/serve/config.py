@@ -52,11 +52,6 @@ class ServeConfig:
     seed: int = 7
     model_path: str | None = None
     probe_cache_capacity: int = 4_096
-    # Mine and answer through the inverted similarity index
-    # (simmining ``use_index``/``index_topk`` plus the engine's
-    # bound-based ``indexed_ranking``).  Answers stay bit-identical;
-    # only the retrieval complexity changes (docs/PERFORMANCE.md §9).
-    sim_index: bool = False
 
     # -- answering defaults (mirror the ``repro query`` flags) ------------
     default_k: int = 10

@@ -32,13 +32,13 @@ from typing import Any, Mapping, Sequence
 from repro.core.parser import parse_query
 from repro.core.query import ImpreciseQuery
 from repro.core.results import AnswerSet
+from repro.core.store import StoreError
 from repro.db import DatabaseError
 from repro.obs.export import to_prometheus
 from repro.obs.runtime import OBS
 from repro.resilience import ResilienceError
 from repro.resilience.clock import Clock, SystemClock
 from repro.serve.admission import SHED_QUEUE_FULL, AdmissionController
-from repro.simmining.index import preregister_index_metrics
 from repro.serve.config import ServeConfig
 from repro.serve.session import RequestSession, SessionBudgets, budgets_for
 from repro.serve.state import ServeState
@@ -263,7 +263,9 @@ class Router:
     def _reload(self) -> Response:
         try:
             bundle = self.state.reload()
-        except (DatabaseError, ResilienceError, OSError, ValueError) as exc:
+        except (
+            DatabaseError, ResilienceError, OSError, StoreError, ValueError
+        ) as exc:
             return _json_response(
                 503, {"reloaded": False, "error": str(exc)}
             )
@@ -442,10 +444,6 @@ def preregister_serve_metrics(registry: Any = None) -> None:
         labels=("route",),
         buckets=REQUEST_SECONDS_BUCKETS,
     ).labels(route="/query")
-    # The inverted-index families ride along: a server running without
-    # sim_index keeps them at explicit zero on /metrics rather than
-    # leaving scrapers to guess whether the index is quiet or absent.
-    preregister_index_metrics(registry)
 
 
 #: Routes with their own label value in the request metrics.

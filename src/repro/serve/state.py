@@ -14,7 +14,6 @@ previous bundle untouched and still serving.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import threading
 from dataclasses import dataclass
@@ -64,21 +63,8 @@ def _dataset_webdb(config: ServeConfig) -> AutonomousWebDatabase:
 
 def _dataset_settings(config: ServeConfig) -> AIMQSettings:
     if config.dataset == "censusdb":
-        settings = census_settings(error_threshold=0.3)
-    else:
-        settings = AIMQSettings(max_relaxation_level=3)
-    if config.sim_index:
-        # Mirror the CLI's --sim-index wiring: inverted-index candidate
-        # generation while mining, the neighbour index behind
-        # top_similar, and bound-based early termination while ranking.
-        settings = dataclasses.replace(
-            settings,
-            indexed_ranking=True,
-            simmining=dataclasses.replace(
-                settings.simmining, use_index=True, index_topk=True
-            ),
-        )
-    return settings
+        return census_settings(error_threshold=0.3)
+    return AIMQSettings(max_relaxation_level=3)
 
 
 def _build_bundle(config: ServeConfig, generation: int) -> ModelBundle:

@@ -15,11 +15,6 @@ from repro.simmining.estimator import (
     ValueSimilarityMiner,
 )
 from repro.simmining.graph import neighbors_above, similarity_graph, strongest_edges
-from repro.simmining.index import (
-    SuperTupleIndex,
-    TopSimilarIndex,
-    preregister_index_metrics,
-)
 from repro.simmining.supertuple import (
     NumericBinner,
     SuperTuple,
@@ -35,15 +30,12 @@ __all__ = [
     "SimilarityMinerConfig",
     "SimilarityModel",
     "SuperTuple",
-    "SuperTupleIndex",
-    "TopSimilarIndex",
     "ValueSimilarityMiner",
     "build_binners",
     "build_supertuple",
     "jaccard_bags",
     "jaccard_sets",
     "neighbors_above",
-    "preregister_index_metrics",
     "similarity_graph",
     "strongest_edges",
 ]

@@ -110,16 +110,6 @@ class SuperTuple:
         """The keyword bag for ``attribute`` (empty bag if absent)."""
         return self._bags.get(attribute, Bag())
 
-    def bag_magnitude(self, attribute: str, bag_semantics: bool = True) -> int:
-        """Bag size under the active semantics (the SimJ denominator cap).
-
-        Total occurrences under bag semantics, distinct keywords under
-        set semantics — the quantity both the prune bound and the
-        inverted index cache per vector.
-        """
-        bag = self.bag(attribute)
-        return len(bag) if bag_semantics else bag.support
-
     def __contains__(self, attribute: str) -> bool:
         return attribute in self._bags
 

@@ -1,6 +1,10 @@
 """Unit tests for query-tuple similarity estimation."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.attribute_order import uniform_ordering
 from repro.core.query import ImpreciseQuery
@@ -9,6 +13,7 @@ from repro.core.similarity import (
     numeric_similarity,
     range_scaled_similarity,
 )
+from repro.db import RelationSchema
 from repro.simmining.estimator import SimilarityModel
 
 
@@ -226,50 +231,124 @@ class TestCompiledScorers:
         assert scorer._weights_memo[("Model", "Price")] is first
 
 
+# -- the T_sim cut ---------------------------------------------------------
+
+CUT_SCHEMA = RelationSchema.build(
+    "Cut",
+    categorical=("A", "B", "C"),
+    numeric=("X", "Y"),
+    order=("A", "X", "B", "Y", "C"),
+)
+# "z" is never mined, so it scores 0 against everything but itself.
+CUT_VALUES = ("p", "q", "r", "z")
+_NUMERIC_CELLS = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+)
+
+
+def _cut_cell(attribute: str) -> st.SearchStrategy:
+    values = (
+        st.sampled_from(CUT_VALUES)
+        if CUT_SCHEMA.attribute(attribute).is_categorical
+        else _NUMERIC_CELLS
+    )
+    return st.one_of(st.none(), values)
+
+
+@st.composite
+def cut_cases(draw):
+    """A compiled plan, rows to score, and a threshold.
+
+    Plans mix categorical terms (mined, unmined and identical values)
+    with numeric terms under either closeness measure; references and
+    cells may be None.  A third of the thresholds are a score one of
+    the rows actually reaches, where the cut's slack matters most.
+    """
+    names = CUT_SCHEMA.attribute_names
+    model = SimilarityModel(["A", "B", "C"])
+    for attribute in ("A", "B", "C"):
+        for index, value_a in enumerate(CUT_VALUES[:3]):
+            for value_b in CUT_VALUES[index + 1 : 3]:
+                if draw(st.booleans()):
+                    model.record(
+                        attribute, value_a, value_b, draw(st.floats(0.0, 1.0))
+                    )
+    ordering = dataclasses.replace(
+        uniform_ordering(CUT_SCHEMA),
+        importance={name: draw(st.floats(0.0, 1.0)) for name in names},
+    )
+    low = draw(st.floats(-100.0, 100.0))
+    similarity = TupleSimilarity(
+        CUT_SCHEMA,
+        ordering,
+        model,
+        numeric_mode=draw(st.sampled_from(["relative", "range"])),
+        numeric_extents={"X": (low, low + draw(st.floats(0.0, 200.0)))},
+    )
+    bound = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
+    bindings = {name: draw(_cut_cell(name)) for name in bound}
+    rows = draw(
+        st.lists(
+            st.tuples(*(_cut_cell(name) for name in names)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    exact = similarity.bindings_scorer(bindings)
+    threshold = draw(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            st.sampled_from([exact(row) for row in rows]),
+        )
+    )
+    return similarity, bindings, rows, threshold
+
+
 class TestBoundedScorer:
-    """Early termination must be sound: skip only provable non-answers."""
+    """The cut drops only rows that cannot clear the bar."""
 
     ROWS = TestCompiledScorers.ROWS
 
-    @pytest.fixture()
-    def indexed_scorer(self, toy_schema):
-        """Same mined pairs as ``scorer`` but with the neighbour index,
-        so categorical caps come from real posting-list heads."""
-        model = SimilarityModel(["Make", "Model"])
-        model.enable_top_index()
-        model.record("Model", "Camry", "Accord", 0.8)
-        model.record("Model", "Camry", "F-150", 0.1)
-        model.record("Make", "Toyota", "Honda", 0.5)
-        return TupleSimilarity(toy_schema, uniform_ordering(toy_schema), model)
+    @settings(max_examples=300, deadline=None)
+    @given(case=cut_cases())
+    def test_cut_is_sound_and_kept_scores_are_exact(self, case):
+        similarity, bindings, rows, threshold = case
+        exact = similarity.bindings_scorer(bindings)
+        bounded = similarity.bounded_scorer(bindings, threshold)
+        for row in rows:
+            kept = bounded.score_above(row)
+            if kept is None:
+                assert exact(row) <= threshold
+            else:
+                assert kept == exact(row)
 
     @pytest.mark.parametrize("threshold", [0.0, 0.3, 0.5, 0.7, 0.95])
-    def test_kept_scores_are_exact_and_skips_are_sound(
-        self, scorer, indexed_scorer, threshold
-    ):
+    def test_kept_scores_are_exact_and_skips_are_sound(self, scorer, threshold):
         bindings = {"Make": "Toyota", "Model": "Camry", "Price": 10000}
-        for similarity in (scorer, indexed_scorer):
-            exact = similarity.bindings_scorer(bindings)
-            bounded = similarity.bounded_scorer(bindings, threshold)
-            for row in self.ROWS:
-                maybe = bounded.score_above(row)
-                if maybe is None:
-                    # A skip is a proof the row cannot clear the bar.
-                    assert exact(row) <= threshold
-                else:
-                    assert maybe == exact(row)
+        exact = scorer.bindings_scorer(bindings)
+        bounded = scorer.bounded_scorer(bindings, threshold)
+        for row in self.ROWS:
+            maybe = bounded.score_above(row)
+            if maybe is None:
+                # A cut is a proof the row cannot clear the bar.
+                assert exact(row) <= threshold
+            else:
+                assert maybe == exact(row)
 
-    def test_indexed_caps_actually_skip(self, indexed_scorer):
-        # Make=Ford has no mined pairs, so its cap is 0 with the index:
-        # a non-Ford row can score at most the Model+Price terms.
-        bounded = indexed_scorer.bounded_scorer(
+    def test_cut_actually_skips(self, scorer):
+        # Make=Ford scores 0 against Toyota, so the Model and Price
+        # terms (weight 2/3) cannot lift the row over 0.9.
+        bounded = scorer.bounded_scorer(
             {"Make": "Ford", "Model": "Camry", "Price": 10000}, 0.9
         )
         assert bounded.score_above(("Toyota", "Camry", 10000, 2000)) is None
 
-    def test_bounded_row_scorer_matches_row_scorer(self, indexed_scorer):
+    def test_bounded_row_scorer_matches_row_scorer(self, scorer):
         reference = ("Toyota", "Camry", 10000, 2000)
-        exact = indexed_scorer.row_scorer(reference)
-        bounded = indexed_scorer.bounded_row_scorer(reference, 0.4)
+        exact = scorer.row_scorer(reference)
+        bounded = scorer.bounded_row_scorer(reference, 0.4)
         for row in self.ROWS:
             maybe = bounded.score_above(row)
             if maybe is None:

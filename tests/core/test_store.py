@@ -83,6 +83,57 @@ class TestRoundTrip:
         assert original.row_ids == reloaded.row_ids
 
 
+def _version_1_file(payload):
+    """What the previous format wrote: version 1, since-retired knobs."""
+    payload["format_version"] = 1
+    payload["settings"]["indexed_ranking"] = False
+    payload["settings"]["simmining"].update(
+        workers=1,
+        prune_bound=False,
+        parallel_chunk_pairs=512,
+        use_index=False,
+        index_topk=False,
+    )
+    return payload
+
+
+def _set_first_similarity(payload, value):
+    pairs = next(p for p in payload["similarity"]["pairs"].values() if p)
+    pairs[0][2] = value
+    return payload
+
+
+def _set_first_importance(payload, value):
+    importance = payload["ordering"]["importance"]
+    importance[next(iter(importance))] = value
+    return payload
+
+
+def _without(payload, key):
+    del payload[key]
+    return payload
+
+
+def _with_setting(payload, key, value):
+    payload["settings"][key] = value
+    return payload
+
+
+CORRUPTIONS = {
+    "version_1_file": _version_1_file,
+    "missing_key": lambda payload: _without(payload, "timings"),
+    "unknown_settings_key": lambda payload: _with_setting(
+        payload, "indexed_ranking", True
+    ),
+    "similarity_above_one": lambda payload: _set_first_similarity(payload, 1.5),
+    "negative_importance": lambda payload: _set_first_importance(payload, -0.1),
+    "infinite_importance": lambda payload: _set_first_importance(
+        payload, float("inf")
+    ),
+    "not_an_object": lambda payload: [payload],
+}
+
+
 class TestErrors:
     def test_wrong_relation_rejected(self, mined_model, tmp_path):
         path = save_model(mined_model, tmp_path / "model.json")
@@ -115,5 +166,16 @@ class TestErrors:
     def test_corrupt_file(self, car_table, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(StoreError):
+            load_model(path, car_table.schema)
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=list(CORRUPTIONS))
+    def test_undecodable_payload_raises_store_error(
+        self, mined_model, car_table, tmp_path, corrupt
+    ):
+        path = save_model(mined_model, tmp_path / "model.json")
+        payload = json.loads(path.read_text())
+        payload = corrupt(payload)
+        path.write_text(json.dumps(payload))
         with pytest.raises(StoreError):
             load_model(path, car_table.schema)

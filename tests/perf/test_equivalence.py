@@ -1,14 +1,9 @@
 """Fast-path equivalence properties.
 
 The performance layer's contract is that every fast path is *result
-equivalent* to its reference path:
-
-* answering with the probe cache on returns the identical
-  :class:`AnswerSet`; only the probe accounting differs;
-* the VSim prune bound never drops a pair the naive loop would have
-  stored, at any store threshold;
-* parallel mining (``workers > 1``) produces the identical
-  :class:`SimilarityModel` as the serial pass.
+equivalent* to its reference path: answering with the probe cache on
+returns the identical :class:`AnswerSet`; only the probe accounting
+differs.
 """
 
 from __future__ import annotations
@@ -16,60 +11,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import AIMQSettings
 from repro.core.pipeline import build_model
 from repro.core.query import ImpreciseQuery
 from repro.datasets.cardb import generate_cardb
-from repro.db.schema import RelationSchema
-from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
-from repro.simmining.estimator import SimilarityMinerConfig, ValueSimilarityMiner
 
-# -- shared helpers ---------------------------------------------------------
-
-
-def _random_table(
-    rng: random.Random, n_attributes: int, n_values: int, n_rows: int
-) -> Table:
-    """All-categorical table with Zipf-skewed value frequencies."""
-    names = tuple(f"A{index}" for index in range(n_attributes))
-    schema = RelationSchema.build(
-        "prop", categorical=names, numeric=(), order=names
-    )
-    domains = [
-        [f"{name}_{value}" for value in range(n_values)] for name in names
-    ]
-    weights = [1.0 / (rank + 1) for rank in range(n_values)]
-    table = Table(schema)
-    for _ in range(n_rows):
-        table.insert(
-            tuple(
-                rng.choices(domain, weights=weights, k=1)[0]
-                for domain in domains
-            )
-        )
-    return table
-
-
-def _random_importance(rng: random.Random, n_attributes: int) -> dict[str, float]:
-    """Random non-negative weights; some attributes get exactly zero."""
-    return {
-        f"A{index}": rng.random() if rng.random() < 0.8 else 0.0
-        for index in range(n_attributes)
-    }
-
-
-def _model_state(model):
-    return (
-        {name: model.pairs(name) for name in model.attributes},
-        {name: model.known_values(name) for name in model.attributes},
-    )
-
-
-# -- property 1: probe cache on/off -----------------------------------------
+# -- probe cache on/off -------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -126,85 +75,6 @@ def test_probe_cache_preserves_answer_sets(cache_setup):
         assert hot.trace.queries_issued < cold.trace.queries_issued
 
 
-# -- property 2: prune bound never drops a stored pair -----------------------
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    threshold=st.floats(0.0, 0.95, allow_nan=False),
-    bag_semantics=st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_prune_bound_never_drops_pairs(seed, threshold, bag_semantics):
-    rng = random.Random(seed)
-    table = _random_table(rng, n_attributes=3, n_values=8, n_rows=60)
-    importance = _random_importance(rng, 3)
-    naive = ValueSimilarityMiner(
-        SimilarityMinerConfig(
-            min_value_count=1,
-            store_threshold=threshold,
-            bag_semantics=bag_semantics,
-        ),
-        importance_weights=importance,
-    ).mine(table)
-    pruned = ValueSimilarityMiner(
-        SimilarityMinerConfig(
-            min_value_count=1,
-            store_threshold=threshold,
-            bag_semantics=bag_semantics,
-            prune_bound=True,
-        ),
-        importance_weights=importance,
-    ).mine(table)
-    assert _model_state(naive) == _model_state(pruned)
-
-
-# -- property 3: parallel workers match the serial pass ----------------------
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    threshold=st.floats(0.0, 0.9, allow_nan=False),
-)
-@settings(max_examples=6, deadline=None)
-def test_parallel_workers_match_serial(seed, threshold):
-    rng = random.Random(seed)
-    table = _random_table(rng, n_attributes=3, n_values=6, n_rows=40)
-    importance = _random_importance(rng, 3)
-    serial = ValueSimilarityMiner(
-        SimilarityMinerConfig(min_value_count=1, store_threshold=threshold),
-        importance_weights=importance,
-    ).mine(table)
-    parallel = ValueSimilarityMiner(
-        SimilarityMinerConfig(
-            min_value_count=1,
-            store_threshold=threshold,
-            workers=2,
-            parallel_chunk_pairs=7,
-        ),
-        importance_weights=importance,
-    ).mine(table)
-    assert _model_state(serial) == _model_state(parallel)
-
-
-def test_parallel_with_prune_matches_serial_naive():
-    rng = random.Random(99)
-    table = _random_table(rng, n_attributes=4, n_values=10, n_rows=120)
-    serial = ValueSimilarityMiner(
-        SimilarityMinerConfig(min_value_count=1, store_threshold=0.4)
-    ).mine(table)
-    combined = ValueSimilarityMiner(
-        SimilarityMinerConfig(
-            min_value_count=1,
-            store_threshold=0.4,
-            workers=2,
-            prune_bound=True,
-            parallel_chunk_pairs=11,
-        )
-    ).mine(table)
-    assert _model_state(serial) == _model_state(combined)
-
-
 # -- obs_overhead scenario ---------------------------------------------------
 
 
@@ -218,10 +88,6 @@ def test_obs_overhead_scenario_proves_bit_identity():
         sample=100,
         repeats=1,
         queries=1,
-        mining_rows=100,
-        mining_values=10,
-        mining_attributes=3,
-        mining_threshold=0.2,
         candidates=100,
         top_k=5,
         score_rows=50,

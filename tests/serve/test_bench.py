@@ -16,10 +16,6 @@ def tiny_scale():
         sample=120,
         repeats=1,
         queries=2,
-        mining_rows=100,
-        mining_values=10,
-        mining_attributes=3,
-        mining_threshold=0.5,
         candidates=100,
         top_k=5,
         score_rows=50,

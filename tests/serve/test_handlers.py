@@ -7,6 +7,7 @@ same query — rows, ranked order, every trace counter and every
 degradation flag.
 """
 
+import dataclasses
 import json
 import random
 
@@ -15,10 +16,11 @@ import pytest
 from repro.core.config import AIMQSettings
 from repro.core.pipeline import build_model
 from repro.core.query import ImpreciseQuery
+from repro.core.store import save_model
 from repro.datasets.cardb import cardb_webdb
 from repro.obs import OBS
 from repro.resilience import ResiliencePolicy
-from repro.serve import answer_payload
+from repro.serve import AdmissionController, Router, ServeState, answer_payload
 
 
 def get_json(response):
@@ -220,6 +222,24 @@ class TestIntrospection:
         ]
         assert engine_events
         assert engine_events[0]["trace_id"] == trace_id
+
+
+def test_undecodable_model_on_reload_keeps_the_old_bundle(
+    serve_state, serve_config, tmp_path
+):
+    path = save_model(serve_state.current().model, tmp_path / "model.json")
+    config = dataclasses.replace(serve_config, model_path=str(path))
+    state = ServeState.load(config)
+    router = Router(state, AdmissionController(config), config)
+    payload = json.loads(path.read_text())
+    del payload["timings"]
+    path.write_text(json.dumps(payload))
+
+    response = router.route("POST", "/reload")
+    assert response.status == 503
+    assert get_json(response)["reloaded"] is False
+    assert state.current().generation == 1
+    assert router.route("GET", "/query", {"c": ["Make=Ford"]}).status == 200
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Unit tests for the value-similarity miner and model."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.simmining.estimator import (
@@ -64,6 +66,17 @@ class TestSimilarityModel:
         model = SimilarityModel(["Make"])
         model.register_value("Make", "BMW")
         assert "BMW" in model.known_values("Make")
+
+    def test_pairs_returns_live_readonly_view(self):
+        model = SimilarityModel(["Make"])
+        model.record("Make", "a", "b", 0.5)
+        view = model.pairs("Make")
+        assert isinstance(view, MappingProxyType)
+        assert model.pairs("Make") is view  # memoised, no per-call copy
+        with pytest.raises(TypeError):
+            view[("a", "b")] = 0.9  # type: ignore[index]
+        model.record("Make", "a", "c", 0.25)
+        assert ("a", "c") in view  # live: later records show through
 
 
 class TestMinerOnToyData(object):
@@ -155,16 +168,6 @@ class TestMinerOnCarDB:
         ford_chev = car_model.similarity("Make", "Ford", "Chevrolet")
         ford_bmw = car_model.similarity("Make", "Ford", "BMW")
         assert ford_chev > ford_bmw
-
-
-class TestConfigFastPaths:
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            SimilarityMinerConfig(workers=0)
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ValueError):
-            SimilarityMinerConfig(parallel_chunk_pairs=0)
 
 
 class TestTopSimilarRegression:
