@@ -149,11 +149,12 @@ def generate_cardb(
         if columnar
         else Table(CARDB_SCHEMA, auto_index=auto_index)
     )
+    rows: list[tuple[object, ...]] = []
     for _ in range(n_rows):
         spec = _pick_model(rng)
         year = _pick_year(rng, reference_year)
         price, mileage = _price_and_mileage(rng, spec, year, reference_year)
-        table.insert(
+        rows.append(
             (
                 spec.make,
                 spec.model,
@@ -164,6 +165,7 @@ def generate_cardb(
                 _pick_color(rng, spec.segment),
             )
         )
+    table.extend(rows)
     return table
 
 

@@ -224,7 +224,7 @@ def generate_censusdb(
     if n_rows < 0:
         raise ValueError("n_rows cannot be negative")
     rng = random.Random(seed)
-    table = Table(CENSUS_SCHEMA)
+    rows: list[tuple[object, ...]] = []
     labels: list[str] = []
     for _ in range(n_rows):
         education = _pick(rng, _EDUCATION, _EDUCATION_WEIGHTS)
@@ -245,7 +245,7 @@ def generate_censusdb(
         weight = int(rng.gauss(190000, 60000))
         weight = max(20000, (weight // 20) * 20)
 
-        table.insert(
+        rows.append(
             (
                 age,
                 _pick_workclass(rng, skill),
@@ -267,6 +267,8 @@ def generate_censusdb(
         )
         score += rng.gauss(0, 0.9)
         labels.append(INCOME_HIGH if score > 5.3 else INCOME_LOW)
+    table = Table(CENSUS_SCHEMA)
+    table.extend(rows)
     return table, labels
 
 

@@ -8,8 +8,9 @@ Two index families cover the predicate classes the substrate supports:
   range predicates (``<, <=, >, >=, between``) in O(log n + answer).
 
 Both indexes map a single attribute.  They are maintained eagerly by
-:class:`repro.db.table.Table` on insert.  Null values are excluded from
-indexes (no predicate matches null), matching SQL semantics.
+:class:`repro.db.table.Table`: one ``add`` per inserted row, or one
+``add_many`` per column of a bulk ``extend``.  Null values are excluded
+from indexes (no predicate matches null), matching SQL semantics.
 
 Both also expose the three access methods the executor's planner
 needs: ``size`` (the exact candidate count, computed without
@@ -23,7 +24,7 @@ intersection per predicate, bounded by the smaller side.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.db.predicates import (
     Between,
@@ -65,11 +66,12 @@ class HashIndex:
     """Exact-match index: attribute value → sorted list of row ids.
 
     Posting sets (a bucket as a ``frozenset``) are built on first use by
-    :meth:`candidate_set` and dropped when :meth:`add` grows their
-    bucket, so a single-predicate probe never pays for them and a
-    stale set is never served.  Readers racing to fill the same entry
-    build equal sets, so whichever lands is correct; tables are
-    filled before they are probed, so ``add`` never races a reader.
+    :meth:`candidate_set` and dropped when :meth:`add` or
+    :meth:`add_many` grows their bucket, so a single-predicate probe
+    never pays for them and a stale set is never served.  Readers
+    racing to fill the same entry build equal sets, so whichever lands
+    is correct; tables are filled before they are probed, so writes
+    never race a reader.
     """
 
     def __init__(self, attribute: str) -> None:
@@ -85,6 +87,22 @@ class HashIndex:
             return
         self._buckets.setdefault(value, []).append(row_id)
         self._posting_sets.pop(value, None)
+
+    def add_many(self, values: Iterable[object], row_ids: Sequence[int]) -> None:
+        """:meth:`add` each ``(value, row id)`` pair, in order.
+
+        Buckets grow exactly as a loop of :meth:`add` calls grows them;
+        every memoised posting set is dropped, so none is served stale.
+        """
+        buckets = self._buckets
+        for value, row_id in zip(values, row_ids):
+            if value is not None:
+                bucket = buckets.get(value)
+                if bucket is None:
+                    buckets[value] = [row_id]
+                else:
+                    bucket.append(row_id)
+        self._posting_sets.clear()
 
     def lookup(self, value: object) -> list[int]:
         """Row ids whose attribute equals ``value`` (insertion order)."""
@@ -186,6 +204,14 @@ class SortedIndex:
             return
         self._pending.append((value, row_id))
         self._dirty = True
+
+    def add_many(self, values: Iterable[object], row_ids: Sequence[int]) -> None:
+        """:meth:`add` each ``(value, row id)`` pair, in order."""
+        pending = self._pending
+        before = len(pending)
+        pending.extend(pair for pair in zip(values, row_ids) if pair[0] is not None)
+        if len(pending) > before:
+            self._dirty = True
 
     def _rebuild_if_needed(self) -> None:
         if not self._dirty:

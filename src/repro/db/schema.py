@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.db.errors import SchemaError, TypeMismatchError, UnknownAttributeError
 
 __all__ = ["AttributeKind", "Attribute", "RelationSchema"]
+
+# Exact cell types :meth:`RelationSchema.validate_rows` accepts without
+# a per-cell check: each set is a subset of what
+# :meth:`Attribute.validate_value` accepts for that kind.
+_CATEGORICAL_TYPES = frozenset({str, type(None)})
+_NUMERIC_TYPES = frozenset({int, float, type(None)})
 
 
 class AttributeKind(enum.Enum):
@@ -212,6 +219,30 @@ class RelationSchema:
         for attribute, value in zip(self.attributes, row):
             attribute.validate_value(value)
         return tuple(row)
+
+    def validate_rows(
+        self, rows: Iterable[Sequence[object]]
+    ) -> list[tuple[object, ...]]:
+        """Validate a batch of rows; return them as tuples, in order.
+
+        Accepts exactly what :meth:`validate_row` accepts, and a bad
+        batch raises the error :meth:`validate_row` raises for its first
+        bad cell in row-major order.  The common batch — right arity,
+        every cell's exact type in its kind's set — is accepted with one
+        type scan per column; anything else (a subclass value or a bad
+        cell) falls back to checking row by row.
+        """
+        tuples = [tuple(row) for row in rows]
+        arity = len(self.attributes)
+        if set(map(len, tuples)) <= {arity} and all(
+            set(map(type, map(itemgetter(position), tuples)))
+            <= (_CATEGORICAL_TYPES if attribute.is_categorical else _NUMERIC_TYPES)
+            for position, attribute in enumerate(self.attributes)
+        ):
+            return tuples
+        for row in tuples:
+            self.validate_row(row)
+        return tuples
 
     def row_from_mapping(self, mapping: dict[str, object]) -> tuple[object, ...]:
         """Build a positional row from an attribute-name mapping."""

@@ -190,11 +190,14 @@ class ShardedWebDatabase:
             else Table(table.schema, auto_index=auto_index)
             for _ in range(n_shards)
         ]
+        shard_rows: list[list[tuple]] = [[] for _ in range(n_shards)]
         global_ids: list[list[int]] = [[] for _ in range(n_shards)]
         for row_id, row in enumerate(table):
             home = shard_of(row, n_shards)
-            shard_tables[home].insert(row)
+            shard_rows[home].append(row)
             global_ids[home].append(row_id)
+        for shard_table, rows in zip(shard_tables, shard_rows):
+            shard_table.extend(rows)
         shards = [AutonomousWebDatabase(shard) for shard in shard_tables]
         return cls(
             shards,

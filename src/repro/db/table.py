@@ -15,12 +15,13 @@ Both engines are append-only, resolve attribute names through the
 per categorical attribute and a :class:`SortedIndex` per numeric
 attribute — the combination the AIMQ probing and relaxation workloads
 need.  Every read is served through the small storage-primitive set
-(``__len__``/``__iter__``/``row``/``_append_storage``), so results are
-bit-identical across engines by construction.
+(``__len__``/``__iter__``/``row``/``_append_storage``/``_extend_storage``),
+so results are bit-identical across engines by construction.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.db.columns import DEFAULT_BLOCK_ROWS, ColumnStore
@@ -72,6 +73,10 @@ class Table:
         self._rows.append(validated)
         return row_id
 
+    def _extend_storage(self, validated: list[Row]) -> None:
+        """Store already-validated rows, in order, after the last one."""
+        self._rows.extend(validated)
+
     def _derive(self) -> "Table":
         """Empty table of the same engine/schema (for sample/filter)."""
         return type(self)(self.schema)
@@ -80,21 +85,17 @@ class Table:
 
     def create_hash_index(self, attribute: str) -> HashIndex:
         """Create (or return the existing) hash index on ``attribute``."""
-        position = self.schema.position(attribute)
         if attribute not in self._hash_indexes:
             index = HashIndex(attribute)
-            for row_id, row in enumerate(self):
-                index.add(row[position], row_id)
+            index.add_many(self.column(attribute), range(len(self)))
             self._hash_indexes[attribute] = index
         return self._hash_indexes[attribute]
 
     def create_sorted_index(self, attribute: str) -> SortedIndex:
         """Create (or return the existing) sorted index on ``attribute``."""
-        position = self.schema.position(attribute)
         if attribute not in self._sorted_indexes:
             index = SortedIndex(attribute)
-            for row_id, row in enumerate(self):
-                index.add(row[position], row_id)
+            index.add_many(self.column(attribute), range(len(self)))
             self._sorted_indexes[attribute] = index
         return self._sorted_indexes[attribute]
 
@@ -121,12 +122,25 @@ class Table:
         return self.insert(self.schema.row_from_mapping(dict(mapping)))
 
     def extend(self, rows: Iterable[Sequence[object]]) -> int:
-        """Bulk append; returns the number of rows inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Bulk append; returns the number of rows inserted.
+
+        All or nothing: every row is validated before any is stored, so
+        a bad row leaves the table and its indexes as they were.  Each
+        index then takes its whole column at once, under one shared list
+        of new row ids, in the order a loop of :meth:`insert` calls
+        would have added them.
+        """
+        validated = self.schema.validate_rows(rows)
+        start = len(self)
+        self._extend_storage(validated)
+        row_ids = list(range(start, start + len(validated)))
+        for attribute, index in self._hash_indexes.items():
+            position = self.schema.position(attribute)
+            index.add_many(map(itemgetter(position), validated), row_ids)
+        for attribute, sorted_index in self._sorted_indexes.items():
+            position = self.schema.position(attribute)
+            sorted_index.add_many(map(itemgetter(position), validated), row_ids)
+        return len(validated)
 
     # -- reads ----------------------------------------------------------------
 
@@ -203,16 +217,13 @@ class Table:
     def sample(self, row_ids: Iterable[int]) -> "Table":
         """New table holding copies of the given rows (same schema)."""
         derived = self._derive()
-        for row_id in row_ids:
-            derived.insert(self.row(row_id))
+        derived.extend(map(self.row, row_ids))
         return derived
 
     def filter(self, keep: Callable[[Row], bool]) -> "Table":
         """New table with rows passing ``keep`` (same schema)."""
         derived = self._derive()
-        for row in self:
-            if keep(row):
-                derived.insert(row)
+        derived.extend(row for row in self if keep(row))
         return derived
 
     def to_mappings(self) -> list[dict[str, object]]:
@@ -255,8 +266,7 @@ class ColumnarTable(Table):
             block_rows=block_rows,
             zone_maps=zone_maps,
         )
-        for row in table:
-            derived.insert(row)
+        derived.extend(table)
         return derived
 
     # -- storage primitives ----------------------------------------------------
@@ -270,6 +280,11 @@ class ColumnarTable(Table):
 
     def _append_storage(self, validated: Row) -> int:
         return self._store.append(validated)
+
+    def _extend_storage(self, validated: list[Row]) -> None:
+        append = self._store.append
+        for row in validated:
+            append(row)
 
     def _derive(self) -> "Table":
         return ColumnarTable(

@@ -56,15 +56,32 @@ class CollectionCheckpoint:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "CollectionCheckpoint":
+    def from_dict(cls, payload: Any) -> "CollectionCheckpoint":
+        """Decode :meth:`to_dict` output; raise ``ValueError`` otherwise.
+
+        Row cells are not checked here: a resumed run validates the
+        rows against the source schema before its first probe.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"checkpoint must be a JSON object, not {type(payload).__name__}"
+            )
+        attribute = payload.get("spanning_attribute")
+        if not isinstance(attribute, str):
+            raise ValueError("checkpoint spanning_attribute must be a string")
+        rows = payload.get("rows")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) for row in rows
+        ):
+            raise ValueError("checkpoint rows must be a list of lists")
         return cls(
-            spanning_attribute=payload["spanning_attribute"],
-            next_query_index=payload["next_query_index"],
-            next_offset=payload["next_offset"],
-            rows=tuple(tuple(row) for row in payload["rows"]),
-            probes_issued=payload.get("probes_issued", 0),
-            truncated_probes=payload.get("truncated_probes", 0),
-            pages_followed=payload.get("pages_followed", 0),
+            spanning_attribute=attribute,
+            next_query_index=_count(payload, "next_query_index", required=True),
+            next_offset=_count(payload, "next_offset", required=True),
+            rows=tuple(tuple(row) for row in rows),
+            probes_issued=_count(payload, "probes_issued"),
+            truncated_probes=_count(payload, "truncated_probes"),
+            pages_followed=_count(payload, "pages_followed"),
         )
 
     def to_json(self) -> str:
@@ -72,7 +89,18 @@ class CollectionCheckpoint:
 
     @classmethod
     def from_json(cls, text: str) -> "CollectionCheckpoint":
+        """Decode :meth:`to_json` output; raise ``ValueError`` otherwise."""
         return cls.from_dict(json.loads(text))
+
+
+def _count(payload: dict[str, Any], key: str, required: bool = False) -> int:
+    """``payload[key]`` as a non-negative int (0 when optional and absent)."""
+    if key not in payload and not required:
+        return 0
+    value = payload.get(key)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"checkpoint {key} must be a non-negative integer")
+    return value
 
 
 class CollectionInterrupted(Exception):

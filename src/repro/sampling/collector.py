@@ -9,8 +9,9 @@ Two collection modes are provided:
 
 * :func:`probe_all` — issue the full spanning family and materialise
   every reachable tuple locally (the paper's 100k CarDB extraction);
-* :func:`collect_sample` — same, then simple random sampling without
-  replacement down to a target size (the paper's 15k/25k/50k subsets).
+* :func:`collect_sample` — same extraction, then simple random
+  sampling without replacement down to a target size (the paper's
+  15k/25k/50k subsets); only the sample is built as a table.
 
 :func:`nested_samples` derives several sample sizes from one pass so
 robustness experiments (Figs 3–4) compare orderings across sizes.
@@ -76,6 +77,59 @@ def probe_all(
     re-issuing no completed probe.  By default (``resumable=False``)
     failures propagate unchanged, as they always did.
     """
+    rows, report = _extract(
+        webdb,
+        spanning_attribute,
+        paginate=paginate,
+        max_pages_per_probe=max_pages_per_probe,
+        resumable=resumable,
+        checkpoint=checkpoint,
+    )
+    local = Table(webdb.schema)
+    local.extend(rows)
+    return local, report
+
+
+def collect_sample(
+    webdb: AutonomousWebDatabase,
+    size: int,
+    rng: random.Random,
+    spanning_attribute: str | None = None,
+) -> tuple[Table, CollectionReport]:
+    """Simple random sample (without replacement) of the reachable tuples.
+
+    When ``size`` is at least the number of reachable tuples the full
+    extraction is returned unchanged.  Only the returned table is
+    built: the extraction stays a list of rows.
+    """
+    if size <= 0:
+        raise ValueError("sample size must be positive")
+    rows, report = _extract(webdb, spanning_attribute)
+    sample = Table(webdb.schema)
+    if size >= len(rows):
+        sample.extend(rows)
+        return sample, report
+    chosen = rng.sample(range(len(rows)), size)
+    sample.extend([rows[index] for index in sorted(chosen)])
+    report.notes.append(f"subsampled {size} of {len(rows)} extracted tuples")
+    report.tuples_collected = len(sample)
+    return sample, report
+
+
+def _extract(
+    webdb: AutonomousWebDatabase,
+    spanning_attribute: str | None,
+    paginate: bool = True,
+    max_pages_per_probe: int = 1000,
+    resumable: bool = False,
+    checkpoint: CollectionCheckpoint | None = None,
+) -> tuple[list[tuple], CollectionReport]:
+    """Every reachable row, in collection order, and the run's report.
+
+    Each page (and a checkpoint's carried-over rows, before the first
+    probe) is validated against the source schema as it arrives, so a
+    bad row fails on the page that returned it, before any later probe.
+    """
     if checkpoint is not None:
         if (
             spanning_attribute is not None
@@ -89,14 +143,12 @@ def probe_all(
     else:
         attribute = spanning_attribute or choose_spanning_attribute(webdb)
     report = CollectionReport(spanning_attribute=attribute)
-    local = Table(webdb.schema)
+    schema = webdb.schema
     collected: list[tuple] = []
     start_index = 0
     start_offset = 0
     if checkpoint is not None:
-        for row in checkpoint.rows:
-            local.insert(row)
-            collected.append(row)
+        collected = schema.validate_rows(checkpoint.rows)
         report.probes_issued = checkpoint.probes_issued
         report.truncated_probes = checkpoint.truncated_probes
         report.pages_followed = checkpoint.pages_followed
@@ -145,9 +197,7 @@ def probe_all(
                     ).labels(error=type(exc).__name__).inc()
                 raise CollectionInterrupted(position, reason=str(exc)) from exc
             report.probes_issued += 1
-            for row in result:
-                local.insert(row)
-                collected.append(row)
+            collected.extend(schema.validate_rows(result))
             offset += len(result)
             pages += 1
             if not result.truncated:
@@ -156,36 +206,13 @@ def probe_all(
                 report.truncated_probes += 1
                 break
             report.pages_followed += 1
-    report.tuples_collected = len(local)
+    report.tuples_collected = len(collected)
     if report.truncated_probes:
         report.notes.append(
             f"{report.truncated_probes} probes were left truncated by the "
             "source's result cap; the extracted set under-covers the relation"
         )
-    return local, report
-
-
-def collect_sample(
-    webdb: AutonomousWebDatabase,
-    size: int,
-    rng: random.Random,
-    spanning_attribute: str | None = None,
-) -> tuple[Table, CollectionReport]:
-    """Simple random sample (without replacement) of the reachable tuples.
-
-    When ``size`` is at least the number of reachable tuples the full
-    extraction is returned unchanged.
-    """
-    if size <= 0:
-        raise ValueError("sample size must be positive")
-    full, report = probe_all(webdb, spanning_attribute)
-    if size >= len(full):
-        return full, report
-    chosen = rng.sample(range(len(full)), size)
-    sample = full.sample(sorted(chosen))
-    report.notes.append(f"subsampled {size} of {len(full)} extracted tuples")
-    report.tuples_collected = len(sample)
-    return sample, report
+    return collected, report
 
 
 def nested_samples(

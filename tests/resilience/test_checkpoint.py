@@ -1,13 +1,42 @@
 """Checkpoint/resume for collection runs against failing sources."""
 
-import pytest
+import json
 
-from repro.db import AutonomousWebDatabase, FaultPolicy, FaultSpec
-from repro.db.errors import ProbeLimitExceededError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.db import AutonomousWebDatabase, FaultPolicy, FaultSpec, ProbeLog
+from repro.db.errors import ProbeLimitExceededError, TypeMismatchError
 from repro.sampling import (
     CollectionCheckpoint,
     CollectionInterrupted,
     probe_all,
+)
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
+)
+_FIELDS = (
+    "spanning_attribute",
+    "next_query_index",
+    "next_offset",
+    "rows",
+    "probes_issued",
+    "truncated_probes",
+    "pages_followed",
+)
+# Objects carrying the checkpoint's own keys, so decoding gets past the
+# first lookup and reaches every field's checks.
+_PAYLOADS = _JSON | st.fixed_dictionaries(
+    {}, optional={key: _JSON for key in _FIELDS}
 )
 
 
@@ -32,6 +61,59 @@ class TestCheckpointSerialisation:
                 next_offset=0,
                 rows=(),
             )
+
+
+class TestCheckpointDecoding:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rows": []},
+            [],
+            {
+                "spanning_attribute": "Make",
+                "next_query_index": "3",
+                "next_offset": 0,
+                "rows": [],
+            },
+            {
+                "spanning_attribute": "Make",
+                "next_query_index": 0,
+                "next_offset": 0,
+                "rows": 5,
+            },
+            {
+                "spanning_attribute": "Make",
+                "next_query_index": 0,
+                "next_offset": 0,
+                "rows": [1],
+            },
+            {
+                "spanning_attribute": "Make",
+                "next_query_index": 0,
+                "next_offset": 0,
+                "rows": [],
+                "probes_issued": True,
+            },
+        ],
+    )
+    def test_undecodable_payload_raises_value_error(self, payload):
+        with pytest.raises(ValueError):
+            CollectionCheckpoint.from_dict(payload)
+        with pytest.raises(ValueError):
+            CollectionCheckpoint.from_json(json.dumps(payload))
+
+    def test_invalid_json_raises_value_error(self):
+        with pytest.raises(ValueError):
+            CollectionCheckpoint.from_json('{"rows": [')
+
+    @given(_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_decodes_or_raises_value_error(self, payload):
+        try:
+            checkpoint = CollectionCheckpoint.from_json(json.dumps(payload))
+        except ValueError:
+            return
+        assert CollectionCheckpoint.from_json(checkpoint.to_json()) == checkpoint
 
 
 class TestResumableCollection:
@@ -128,3 +210,23 @@ class TestResumableCollection:
                 resumable=True,
                 checkpoint=checkpoint,
             )
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            ("Toyota", "Camry"),  # wrong arity
+            ("Toyota", "Camry", "1999", "cheap", 1000, "Dallas", "Red"),
+        ],
+    )
+    def test_resume_validates_rows_before_probing(self, car_table, bad_row):
+        good = car_table.row(0)
+        checkpoint = CollectionCheckpoint(
+            spanning_attribute="Model",
+            next_query_index=0,
+            next_offset=0,
+            rows=(good, bad_row, good),
+        )
+        webdb = AutonomousWebDatabase(car_table)
+        with pytest.raises(TypeMismatchError):
+            probe_all(webdb, resumable=True, checkpoint=checkpoint)
+        assert webdb.log == ProbeLog()
