@@ -12,19 +12,23 @@ Dependency error
     ``g3 = Σ_c (|c| − max_subclass(c)) / n``.
     Classes that are singletons in π_X contribute nothing.  Because
     π_{X∪A} refines π_X, every combined class lies inside exactly one
-    π_X class, so TANE's representative pass (Huhtala et al.) finds
-    each ``max_subclass`` with one lookup per combined class instead
-    of one per tuple.
+    π_X class, so one ``bincount`` sizes the combined classes and one
+    ``maximum.at`` keeps each π_X class's largest.
 
 Key error
     A set ``X`` is a key when every π_X class is a singleton, so the
     cheapest repair keeps one tuple per class:
     ``g3(X) = (n − |π_X|) / n`` with |π_X| counting singleton classes.
+
+Both errors are built-in floats: an integer count of removed tuples
+divided by ``n``.
 """
 
 from __future__ import annotations
 
-from repro.afd.partition import StrippedPartition
+import numpy as np
+
+from repro.afd.partition import StrippedPartition, refinement_owner
 
 __all__ = ["dependency_error", "key_error"]
 
@@ -36,31 +40,25 @@ def dependency_error(
 
     Both partitions must range over the same tuple ids, and
     ``combined`` must refine ``lhs`` (it is the product of the lhs
-    partition with the consequent's).  A combined class whose
-    representative is a singleton in ``lhs`` proves it does not, and
-    raises ``ValueError``.  Only ``lhs`` builds a row→class map.
+    partition with the consequent's); otherwise ``ValueError``.
     """
-    if lhs.n_rows != combined.n_rows:
+    owner = refinement_owner(combined, lhs)
+    if owner is None:
         raise ValueError(
-            f"partition sizes differ: {lhs.n_rows} vs {combined.n_rows}"
+            "a combined class is not inside an lhs class: combined does not "
+            "refine lhs"
         )
     if lhs.n_rows == 0:
         return 0.0
-
+    labels = combined.labels
+    sizes = np.bincount(
+        labels[labels >= 0], minlength=combined.num_stripped_classes
+    )
     # Any tuple of an lhs class survives on its own (a combined
     # singleton), so every class keeps at least one.
-    largest = [1] * len(lhs.classes)
-    lhs_class = lhs.class_map()
-    for members in combined.classes:
-        class_id = lhs_class.get(members[0])
-        if class_id is None:
-            raise ValueError(
-                f"combined class of row {members[0]} is not inside an lhs "
-                "class: combined does not refine lhs"
-            )
-        if len(members) > largest[class_id]:
-            largest[class_id] = len(members)
-    removed = lhs.stripped_size - sum(largest)
+    largest = np.ones(lhs.num_stripped_classes, dtype=np.intp)
+    np.maximum.at(largest, owner, sizes)
+    removed = lhs.stripped_size - int(largest.sum())
     return removed / lhs.n_rows
 
 

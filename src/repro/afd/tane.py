@@ -27,9 +27,12 @@ denser dependency structure).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro.afd.g3 import dependency_error, key_error
 from repro.afd.model import AFD, ApproximateKey, DependencyModel
@@ -118,26 +121,40 @@ class TaneConfig:
 def bin_numeric_column(
     values: Sequence[object], n_bins: int
 ) -> list[object]:
-    """Equal-width bin a numeric column; nulls stay null.
+    """Equal-width bin a numeric column; nulls, NaN and ±inf pass through.
 
-    Returns bin labels (ints); a constant column maps to a single bin.
+    Returns bin labels (ints) for finite values, with the bin edges
+    spanning the finite values only; a constant column maps to a single
+    bin.  A non-finite cell keeps its own value as its label, so it
+    groups as it would unbinned.
     """
     if n_bins <= 0:
         raise ValueError("n_bins must be positive")
-    present = [v for v in values if v is not None]
-    if not present:
+    inf = math.inf
+    # -inf < v < inf is False exactly for NaN and ±inf.
+    finite = [
+        v for v in values if v is not None and -inf < v < inf  # type: ignore[operator]
+    ]
+    if not finite:
         return list(values)
-    low = min(present)  # type: ignore[type-var]
-    high = max(present)  # type: ignore[type-var]
+    low = min(finite)  # type: ignore[type-var]
+    high = max(finite)  # type: ignore[type-var]
     if low == high:
-        return [None if v is None else 0 for v in values]
+        return [
+            0 if v is not None and -inf < v < inf else v  # type: ignore[operator]
+            for v in values
+        ]
     width = (high - low) / n_bins  # type: ignore[operator]
     binned: list[object] = []
     for value in values:
         if value is None:
             binned.append(None)
             continue
-        index = int((value - low) / width)  # type: ignore[operator]
+        try:
+            index = int((value - low) / width)  # type: ignore[operator]
+        except (ValueError, OverflowError):  # int() of NaN, of ±inf
+            binned.append(value)
+            continue
         binned.append(min(index, n_bins - 1))
     return binned
 
@@ -146,9 +163,8 @@ def _null_error(partition: StrippedPartition) -> float:
     """g3 error of the majority-value predictor ∅ → A, from π_A."""
     if partition.n_rows == 0:
         return 0.0
-    largest = max(
-        (len(members) for members in partition.classes), default=1
-    )
+    labels = partition.labels
+    largest = int(np.bincount(labels[labels >= 0]).max(initial=1))
     return (partition.n_rows - largest) / partition.n_rows
 
 

@@ -7,8 +7,8 @@ Rows are decomposed into per-attribute columns at insert time:
   encodings are deterministic) and the column stores one code per row,
   with ``-1`` marking null;
 * **numeric** attributes keep their raw Python values (``int`` /
-  ``float`` / ``None``) plus, when numpy is available, a lazily built
-  ``float64`` array and a validity mask for vectorized evaluation.
+  ``float`` / ``None``) plus a lazily built ``float64`` array and a
+  validity mask for vectorized evaluation.
 
 Rows are grouped into fixed-size *blocks* (:data:`DEFAULT_BLOCK_ROWS`
 rows each).  Every ``(column, block)`` pair has a :class:`BlockStats`
@@ -39,11 +39,12 @@ from __future__ import annotations
 import math
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.db.schema import RelationSchema
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
-    "HAS_NUMPY",
     "MAX_EXACT_INT",
     "ZONE_MAP_DISTINCT_LIMIT",
     "BlockStats",
@@ -63,17 +64,6 @@ ZONE_MAP_DISTINCT_LIMIT = 64
 #: Largest magnitude an int may have and still be exactly representable
 #: in float64 (2**53); columns holding larger ints disable vectorization.
 MAX_EXACT_INT = 2**53
-
-_np: Any
-try:  # numpy is an accelerator, never a requirement
-    import numpy
-
-    _np = numpy
-except ImportError:  # pragma: no cover - numpy present in the CI image
-    _np = None
-
-HAS_NUMPY = _np is not None
-
 
 class BlockStats:
     """Zone-map entry for one ``(column, block)`` pair.
@@ -140,11 +130,9 @@ class CategoricalColumn:
         return None
 
     def code_array(self) -> Any:
-        """Cached int64 numpy array of codes (None without numpy)."""
-        if _np is None:
-            return None
+        """Cached int64 numpy array of codes."""
         if self._array is None or self._array_rows != len(self.codes):
-            self._array = _np.asarray(self.codes, dtype=_np.int64)
+            self._array = np.asarray(self.codes, dtype=np.int64)
             self._array_rows = len(self.codes)
         return self._array
 
@@ -181,17 +169,15 @@ class NumericColumn:
 
         Null cells hold NaN in the value array and False in the
         validity mask; genuine NaN cells stay valid (``Ne`` matches
-        them).  Returns ``(None, None)`` without numpy.
+        them).
         """
-        if _np is None:
-            return (None, None)
         n = len(self.values)
         if self._array is None or self._array_rows != n:
-            vals = _np.empty(n, dtype=_np.float64)
-            valid = _np.ones(n, dtype=bool)
+            vals = np.empty(n, dtype=np.float64)
+            valid = np.ones(n, dtype=bool)
             for index, value in enumerate(self.values):
                 if value is None:
-                    vals[index] = _np.nan
+                    vals[index] = np.nan
                     valid[index] = False
                 else:
                     vals[index] = value

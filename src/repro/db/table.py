@@ -6,9 +6,8 @@ Two storage engines share the :class:`Table` interface:
   simple and allocation-friendly for 100k-tuple scans;
 * :class:`ColumnarTable` decomposes rows into typed per-attribute
   columns (:mod:`repro.db.columns`) with dictionary-encoded
-  categoricals, block-level zone maps and optional numpy shadow
-  arrays, which the executor's vectorized path evaluates
-  block-at-a-time.
+  categoricals, block-level zone maps and numpy shadow arrays, which
+  the executor's vectorized path evaluates block-at-a-time.
 
 Both engines are append-only, resolve attribute names through the
 :class:`RelationSchema`, and by default maintain a :class:`HashIndex`

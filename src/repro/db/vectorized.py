@@ -9,7 +9,7 @@ query can:
 * **mask** — evaluate one block as a boolean bitmask per conjunct
   (numpy), ANDed across conjuncts;
 * **probe** — evaluate a single row id scalar-wise (used for index
-  residual verification and as the numpy-free block path).
+  residual verification).
 
 Exactness is the whole contract: every strategy reproduces the row
 engine's Python semantics bit for bit, nulls included (``Eq(None)``
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from typing import Any
+
+import numpy as np
 
 from repro.db.columns import (
     BlockStats,
@@ -52,14 +54,6 @@ from repro.db.predicates import (
 from repro.db.query import SelectionQuery
 
 __all__ = ["CompiledPredicate", "CompiledQuery", "compile_query"]
-
-_np: Any
-try:
-    import numpy
-
-    _np = numpy
-except ImportError:  # pragma: no cover - numpy present in the CI image
-    _np = None
 
 
 class CompiledPredicate:
@@ -102,7 +96,7 @@ class _CatNever(CompiledPredicate):
         return False
 
     def mask(self, start: int, stop: int) -> Any:
-        return _np.zeros(stop - start, dtype=bool)
+        return np.zeros(stop - start, dtype=bool)
 
 
 class _CatEqNull(CompiledPredicate):
@@ -211,7 +205,7 @@ class _CatLut(CompiledPredicate):
 
     def mask(self, start: int, stop: int) -> Any:
         if self._lut_array is None or len(self._lut_array) != len(self.lut) + 1:
-            self._lut_array = _np.asarray(
+            self._lut_array = np.asarray(
                 self.lut + [self.null_match], dtype=bool
             )
         codes = self.column.code_array()[start:stop]  # type: ignore[union-attr]
@@ -228,7 +222,7 @@ class _NumNever(CompiledPredicate):
         return False
 
     def mask(self, start: int, stop: int) -> Any:
-        return _np.zeros(stop - start, dtype=bool)
+        return np.zeros(stop - start, dtype=bool)
 
 
 class _NumEqNull(CompiledPredicate):
@@ -299,9 +293,9 @@ class _NumCompare(CompiledPredicate):
         vals, valid = self.column.arrays()  # type: ignore[union-attr]
         window = vals[start:stop]
         if self.kind == "eq":
-            return _np.equal(window, self.bound_f)
+            return np.equal(window, self.bound_f)
         if self.kind == "ne":
-            return valid[start:stop] & _np.not_equal(window, self.bound_f)
+            return valid[start:stop] & np.not_equal(window, self.bound_f)
         if self.kind == "lt":
             return window < self.bound_f
         if self.kind == "le":
@@ -372,11 +366,11 @@ class _NumIsIn(CompiledPredicate):
         vals, valid = self.column.arrays()  # type: ignore[union-attr]
         window = vals[start:stop]
         if self._targets_array is None:
-            self._targets_array = _np.asarray(self.targets, dtype=_np.float64)
+            self._targets_array = np.asarray(self.targets, dtype=np.float64)
         if self.targets:
-            hit = _np.isin(window, self._targets_array)
+            hit = np.isin(window, self._targets_array)
         else:
-            hit = _np.zeros(stop - start, dtype=bool)
+            hit = np.zeros(stop - start, dtype=bool)
         if self.null_match:
             hit = hit | ~valid[start:stop]
         return hit
@@ -553,11 +547,6 @@ class CompiledQuery:
         self.store = store
         self.predicates = predicates
 
-    @property
-    def vectorizable(self) -> bool:
-        """True when the numpy mask path is available."""
-        return _np is not None
-
     def prune_block(self, block: int) -> bool:
         """True when zone maps prove the block holds no match."""
         if not self.store.zone_maps_enabled:
@@ -575,32 +564,20 @@ class CompiledQuery:
         """Matching row ids in ``[start, stop)``, ascending."""
         if not self.predicates:
             return list(range(start, stop))
-        if _np is None:
-            return [
-                row_id
-                for row_id in range(start, stop)
-                if self.matches_at(row_id)
-            ]
         mask = self.predicates[0].mask(start, stop)
         for compiled in self.predicates[1:]:
             mask = mask & compiled.mask(start, stop)
-        hits: list[int] = (_np.flatnonzero(mask) + start).tolist()
+        hits: list[int] = (np.flatnonzero(mask) + start).tolist()
         return hits
 
     def block_match_count(self, start: int, stop: int) -> int:
         """Number of matches in ``[start, stop)`` (no ids materialised)."""
         if not self.predicates:
             return stop - start
-        if _np is None:
-            count = 0
-            for row_id in range(start, stop):
-                if self.matches_at(row_id):
-                    count += 1
-            return count
         mask = self.predicates[0].mask(start, stop)
         for compiled in self.predicates[1:]:
             mask = mask & compiled.mask(start, stop)
-        return int(_np.count_nonzero(mask))
+        return int(np.count_nonzero(mask))
 
 
 def compile_query(

@@ -12,12 +12,6 @@ one overhead guard for the resilience layer:
 ``similarity_memo``
     Scoring candidate rows through the per-call reference path
     (``sim_to_query``) vs one precompiled :class:`BindingsScorer`.
-``lazy_partition``
-    TANE-style partition products reading ranks only, with the
-    row→class map forced after every construction (the seed's eager
-    ``__post_init__`` behaviour) vs built lazily: only on each product's
-    smaller input, where it is memoised and reused as the probe table,
-    and never on a product.
 ``resilience_overhead``
     Repeated answering on a healthy source through the plain facade vs
     through :class:`~repro.resilience.ResilientWebDatabase` with a full
@@ -90,7 +84,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.afd.partition import StrippedPartition, partition_product, partition_single
 from repro.core.config import AIMQSettings
 from repro.core.pipeline import AIMQModel, build_model
 from repro.core.plan import PlannerConfig
@@ -131,8 +124,6 @@ class BenchScale:
     top_k: int
     score_rows: int  # rows scored per similarity-memo repetition
     score_repeats: int
-    partition_rows: int
-    partition_products: int
     # Columnar data-plane scenarios (defaults keep older scale
     # constructions valid).
     scan_rows: int = 20_000  # source size for the scan scenarios
@@ -162,8 +153,6 @@ SCALES: dict[str, BenchScale] = {
         top_k=10,
         score_rows=400,
         score_repeats=30,
-        partition_rows=6_000,
-        partition_products=40,
     ),
     # The scale the committed BENCH_history.jsonl trajectory records.
     "default": BenchScale(
@@ -175,8 +164,6 @@ SCALES: dict[str, BenchScale] = {
         top_k=10,
         score_rows=1_200,
         score_repeats=60,
-        partition_rows=20_000,
-        partition_products=120,
         scan_rows=100_000,
         scan_repeats=1,
         shards=4,
@@ -195,8 +182,6 @@ SCALES: dict[str, BenchScale] = {
         top_k=10,
         score_rows=400,
         score_repeats=30,
-        partition_rows=6_000,
-        partition_products=40,
         scan_rows=1_000_000,
         scan_repeats=1,
         shards=8,
@@ -428,46 +413,6 @@ def bench_similarity_memo(scale: BenchScale, fixture: _Fixture) -> ScenarioResul
         details={
             "rows_scored": scale.score_rows,
             "repeats": scale.score_repeats,
-        },
-    )
-
-
-def bench_lazy_partition(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    rng = random.Random(51)
-    n_rows = scale.partition_rows
-    columns = [
-        [rng.randrange(cardinality) for _ in range(n_rows)]
-        for cardinality in (8, 20, 50, 200)
-    ]
-    singles = [partition_single(column) for column in columns]
-
-    def force_map(partition: StrippedPartition) -> None:
-        # Replicate the seed's eager __post_init__: the row→class map
-        # was built for every partition whether or not it was read.
-        if partition.classes:
-            partition.class_of(partition.classes[0][0])
-
-    def run(eager: bool) -> list[int]:
-        ranks: list[int] = []
-        for round_index in range(scale.partition_products):
-            left = singles[round_index % len(singles)]
-            right = singles[(round_index + 1) % len(singles)]
-            product = partition_product(left, right)
-            if eager:
-                force_map(product)
-            ranks.append(product.rank)
-        return ranks
-
-    slow_ranks, slow_seconds = _timed(lambda: run(eager=True))
-    fast_ranks, fast_seconds = _timed(lambda: run(eager=False))
-    return ScenarioResult(
-        name="lazy_partition",
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=slow_ranks == fast_ranks,
-        details={
-            "rows": n_rows,
-            "products": scale.partition_products,
         },
     )
 
@@ -887,7 +832,6 @@ SCENARIOS: dict[str, Callable[[BenchScale, _Fixture], ScenarioResult]] = {
     "probe_cache": bench_probe_cache,
     "topk": bench_topk,
     "similarity_memo": bench_similarity_memo,
-    "lazy_partition": bench_lazy_partition,
     "resilience_overhead": bench_resilience_overhead,
     "obs_overhead": bench_obs_overhead,
     "semantic_reuse": bench_semantic_reuse,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.afd.g3 import dependency_error
+from repro.afd.g3 import dependency_error, key_error
 from repro.afd.partition import (
     StrippedPartition,
     partition_product,
@@ -28,6 +28,10 @@ class TestPartitionSingle:
     def test_empty_column(self):
         p = partition_single([])
         assert p.n_rows == 0 and p.num_classes == 0
+
+    def test_n_rows_must_match_column(self):
+        with pytest.raises(ValueError):
+            partition_single(["a", "a"], n_rows=3)
 
 
 class TestMeasures:
@@ -104,12 +108,6 @@ class TestRefines:
 
 
 class TestLazyClassMap:
-    def test_map_not_built_until_needed(self):
-        p = partition_single(["a", "b", "a", "c", "b", "a"])
-        assert p._class_of is None
-        p.class_of(0)
-        assert p._class_of is not None
-
     def test_lazy_map_matches_classes(self):
         p = partition_single(["a", "b", "a", "c", "b", "a"])
         for class_id, members in enumerate(p.classes):
@@ -118,36 +116,63 @@ class TestLazyClassMap:
         # Row 3 holds the singleton value "c".
         assert p.class_of(3) is None
 
-    def test_rank_does_not_build_map(self):
-        left = partition_single(["a", "a", "b", "b", "c"])
-        right = partition_single(["x", "x", "x", "y", "y"])
-        product = partition_product(left, right)
-        assert product.rank >= 0
-        assert product._class_of is None
 
-    def test_product_builds_map_on_smaller_input_only(self):
-        small = partition_single(["a", "a", "b", "c", "d", "e"])
-        large = partition_single(["x", "x", "x", "y", "y", "y"])
+class TestLabels:
+    def test_labels_are_read_only(self):
+        p = partition_single(["a", "b", "a", "c", "b", "a"])
+        explicit = StrippedPartition(classes=((0, 1), (2, 3)), n_rows=6)
+        for partition in (p, explicit, partition_product(p, explicit)):
+            assert not partition.labels.flags.writeable
+            with pytest.raises(ValueError):
+                partition.labels[0] = 7
+
+    def test_class_ids_dense_in_canonical_order(self):
+        # Classes of a single column are numbered by their first rows.
+        p = partition_single(["c", "a", "b", "a", "c", "d", "b"])
+        assert p.labels.tolist() == [0, 1, 2, 1, 0, -1, 2]
+        assert p.classes == ((0, 4), (1, 3), (2, 6))
+        # A product's classes go by the larger input's class, then by
+        # first row: (3, 5) splits off class 0 of ``large`` before (1, 2)
+        # and (4, 6) split off its class 1.
+        large = partition_single(["x", "y", "y", "x", "y", "x", "y"])
+        small = partition_single(["p", "q", "q", "r", "s", "r", "s"])
         assert small.stripped_size < large.stripped_size
         for product in (
             partition_product(small, large),
             partition_product(large, small),
         ):
-            assert product._class_of is None
-        assert small._class_of is not None
-        assert large._class_of is None
+            assert product.classes == ((3, 5), (1, 2), (4, 6))
+            assert sorted(set(product.labels.tolist()) - {-1}) == [0, 1, 2]
 
-    def test_product_reuses_the_memoised_map(self):
-        small = partition_single(["a", "a", "b", "c"])
-        large = partition_single(["x", "x", "x", "y"])
-        partition_product(small, large)
-        probe = small._class_of
-        partition_product(large, small)
-        assert small._class_of is probe
+    def test_minus_one_marks_exactly_the_stripped_rows(self):
+        p = partition_single(["a", "b", "a", None, "c", None, "d"])
+        stripped = [row for row, label in enumerate(p.labels.tolist()) if label < 0]
+        assert stripped == [1, 4, 6]
+        assert p.stripped_size == 4
+        assert p.num_stripped_classes == 2
 
-    def test_g3_builds_map_on_lhs_only(self):
-        lhs = partition_single(["a", "a", "a", "b", "b"])
-        combined = StrippedPartition(classes=((0, 1), (3, 4)), n_rows=5)
-        assert dependency_error(lhs, combined) == 1 / 5
-        assert lhs._class_of is not None
-        assert combined._class_of is None
+    def test_product_and_g3_leave_inputs_unchanged(self):
+        left = partition_single(["a", "a", "a", "b", "b", "c"])
+        right = partition_single(["x", "x", "y", "y", "y", "y"])
+        before = (left.labels.copy(), right.labels.copy())
+        combined = partition_product(left, right)
+        dependency_error(left, combined)
+        key_error(combined)
+        assert (left.labels == before[0]).all()
+        assert (right.labels == before[1]).all()
+
+    def test_combined_that_does_not_refine_lhs_raises(self):
+        lhs = partition_single(["a", "a", "b", "b"])
+        # Row 1 and row 2 lie in different lhs classes.
+        combined = StrippedPartition(classes=((1, 2),), n_rows=4)
+        with pytest.raises(ValueError, match="does not refine"):
+            dependency_error(lhs, combined)
+        assert not combined.refines(lhs)
+
+    def test_explicit_classes_are_validated(self):
+        with pytest.raises(ValueError):
+            StrippedPartition(classes=((0,),), n_rows=2)
+        with pytest.raises(ValueError):
+            StrippedPartition(classes=((0, 1), (1, 2)), n_rows=3)
+        with pytest.raises(ValueError):
+            StrippedPartition(classes=((0, 3),), n_rows=3)

@@ -71,6 +71,22 @@ class TestBinning:
         with pytest.raises(ValueError):
             bin_numeric_column([1], 0)
 
+    def test_non_finite_cells_pass_through(self):
+        nan, inf = float("nan"), float("inf")
+        binned = bin_numeric_column([0, nan, 5, inf, None, 10, -inf], 2)
+        # Bin edges come from the finite values 0..10 only; list equality
+        # matches the very same NaN object by identity.
+        assert binned == [0, nan, 1, inf, None, 1, -inf]
+
+    def test_only_non_finite_cells(self):
+        nan = float("nan")
+        assert bin_numeric_column([nan, None, float("inf")], 3) == [
+            nan,
+            None,
+            float("inf"),
+        ]
+        assert bin_numeric_column([2.0, nan, 2.0], 3) == [0, nan, 0]
+
 
 class TestMining:
     def test_exact_fd_found(self):
@@ -205,3 +221,13 @@ class TestCarDBMining:
             car_table, TaneConfig(error_threshold=0.3, numeric_bins=8)
         )
         assert len(model.keys) > 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_binned_mining_survives_non_finite_price(self, car_table, bad):
+        rows = [list(row) for row in car_table.rows(range(300))]
+        price = car_table.schema.position("Price")
+        rows[7][price] = bad
+        table = Table(car_table.schema)
+        table.extend(tuple(row) for row in rows)
+        model = mine_dependencies(table, TaneConfig(numeric_bins=8))
+        assert model.sample_size == 300

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +56,6 @@ class TestValidateRows:
         assert type(validated[1][1]) is Count
 
     def test_accepts_numpy_float64_like_validate_row(self):
-        np = pytest.importorskip("numpy")
         rows = [GOOD, ("x", np.float64(2.5), "y")]
         validated = SCHEMA.validate_rows(rows)
         assert validated == _row_by_row(rows)

@@ -1,15 +1,126 @@
 """Oracles for TANE's partition machinery (``repro.afd``).
 
-``dependency_error_per_row`` is the g3 pass that looked up every tuple
-of every π_X class in π_{X∪A}; ``partition_product_dict_probe`` is the
-stripped product that built a throwaway probe dict per call.  Both were
-replaced by passes that read memoised row→class maps
-(docs/PERFORMANCE.md §11).
+All of them read partitions as tuple-of-tuples ``classes`` and build
+row → class dicts, the representation ``StrippedPartition`` had before
+it became a label array (docs/PERFORMANCE.md §6 and §11):
+
+* ``dependency_error_per_row`` is the g3 pass that looked up every
+  tuple of every π_X class in π_{X∪A};
+* ``partition_product_dict_probe`` is the stripped product that built
+  a throwaway probe dict per call;
+* ``partition_single_dict_groups``, ``partition_product_class_map``,
+  ``dependency_error_representative``, ``key_error_classes`` and
+  ``null_error_classes`` are the pure-Python passes the label arrays
+  replaced.  The product and g3 pass read the row → class map that
+  ``StrippedPartition.class_map()`` memoised; here ``class_map``
+  rebuilds it per call, since memoising it only saved time.
 """
 
 from __future__ import annotations
 
+from typing import Hashable, Sequence
+
 from repro.afd.partition import StrippedPartition
+
+
+def class_map(partition: StrippedPartition) -> dict[int, int]:
+    """Row id → stripped-class id map (singletons absent)."""
+    return {
+        row_id: class_id
+        for class_id, members in enumerate(partition.classes)
+        for row_id in members
+    }
+
+
+def partition_single_dict_groups(
+    column: Sequence[Hashable], n_rows: int | None = None
+) -> StrippedPartition:
+    """π_{A} from one column, grouping row ids in a value → rows dict."""
+    if n_rows is None:
+        n_rows = len(column)
+    groups: dict[Hashable, list[int]] = {}
+    for row_id, value in enumerate(column):
+        groups.setdefault(value, []).append(row_id)
+    classes = tuple(
+        tuple(members) for members in groups.values() if len(members) >= 2
+    )
+    return StrippedPartition(classes=classes, n_rows=n_rows)
+
+
+def partition_product_class_map(
+    left: StrippedPartition, right: StrippedPartition
+) -> StrippedPartition:
+    """Stripped product probing through the smaller input's class map."""
+    if left.n_rows != right.n_rows:
+        raise ValueError(
+            f"partition sizes differ: {left.n_rows} vs {right.n_rows}"
+        )
+    # Probe through the smaller side: the product is symmetric, and its
+    # map is the cheaper one to build and to keep.
+    if left.stripped_size > right.stripped_size:
+        left, right = right, left
+
+    probe = class_map(left).get
+    new_classes: list[tuple[int, ...]] = []
+    bucket: dict[int, list[int]] = {}
+    for members in right.classes:
+        for row_id in members:
+            left_class = probe(row_id)
+            if left_class is not None:
+                bucket.setdefault(left_class, []).append(row_id)
+        for group in bucket.values():
+            if len(group) >= 2:
+                new_classes.append(tuple(group))
+        bucket.clear()
+    return StrippedPartition(classes=tuple(new_classes), n_rows=left.n_rows)
+
+
+def dependency_error_representative(
+    lhs: StrippedPartition, combined: StrippedPartition
+) -> float:
+    """g3 error of ``X → A`` with one lhs lookup per combined class."""
+    if lhs.n_rows != combined.n_rows:
+        raise ValueError(
+            f"partition sizes differ: {lhs.n_rows} vs {combined.n_rows}"
+        )
+    if lhs.n_rows == 0:
+        return 0.0
+
+    lhs_classes = lhs.classes
+    # Any tuple of an lhs class survives on its own (a combined
+    # singleton), so every class keeps at least one.
+    largest = [1] * len(lhs_classes)
+    lhs_class = class_map(lhs)
+    for members in combined.classes:
+        class_id = lhs_class.get(members[0])
+        if class_id is None:
+            raise ValueError(
+                f"combined class of row {members[0]} is not inside an lhs "
+                "class: combined does not refine lhs"
+            )
+        if len(members) > largest[class_id]:
+            largest[class_id] = len(members)
+    removed = sum(map(len, lhs_classes)) - sum(largest)
+    return removed / lhs.n_rows
+
+
+def key_error_classes(partition: StrippedPartition) -> float:
+    """g3 error of ``X`` as a key, counted from π_X's classes."""
+    if partition.n_rows == 0:
+        return 0.0
+    classes = partition.classes
+    duplicates = sum(map(len, classes)) - len(classes)
+    return duplicates / partition.n_rows
+
+
+def null_error_classes(partition: StrippedPartition) -> float:
+    """g3 error of the majority-value predictor ∅ → A, from π_A's classes."""
+    if partition.n_rows == 0:
+        return 0.0
+    largest = max(
+        (len(members) for members in partition.classes), default=1
+    )
+    return (partition.n_rows - largest) / partition.n_rows
 
 
 def dependency_error_per_row(

@@ -1,9 +1,10 @@
 """The offline mining passes are bit-identical to their oracles.
 
-g3 errors must be ``==`` (not approximately equal), product classes
-must match tuple for tuple and in order, and every AV-pair's bags must
-hold the same counts in the same first-occurrence order, on random
-skewed tables with nulls and a numeric column.
+g3, key and null errors must be ``==`` (not approximately equal) and
+built-in floats, product classes must match tuple for tuple and in
+order, and every AV-pair's bags must hold the same counts in the same
+first-occurrence order, on random skewed tables with nulls and a
+numeric column.
 """
 
 from __future__ import annotations
@@ -15,12 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.afd import tane
-from repro.afd.g3 import dependency_error
-from repro.afd.partition import partition_product, partition_single
+from repro.afd.g3 import dependency_error, key_error
+from repro.afd.partition import StrippedPartition, partition_product, partition_single
 from repro.simmining.avpair import AVPair
 from repro.simmining.estimator import SimilarityMinerConfig, ValueSimilarityMiner
 from repro.simmining.supertuple import SuperTuple, build_binners, build_supertuple
-from tests.oracles.afd import dependency_error_per_row, partition_product_dict_probe
+from tests.oracles.afd import (
+    dependency_error_per_row,
+    dependency_error_representative,
+    key_error_classes,
+    null_error_classes,
+    partition_product_class_map,
+    partition_product_dict_probe,
+    partition_single_dict_groups,
+)
 from tests.oracles.supertuple import build_supertuple_row_loop
 from tests.strategies import skewed_tables
 
@@ -30,6 +39,27 @@ def _singles(table):
         name: partition_single(table.column(name), len(table))
         for name in table.schema.attribute_names
     }
+
+
+def _singles_and_pairs(table):
+    singles = _singles(table)
+    pairs = [
+        partition_product(singles[a], singles[b])
+        for a, b in combinations(singles, 2)
+    ]
+    return list(singles.values()) + pairs
+
+
+def _assert_same_classes(fast: StrippedPartition, oracle: StrippedPartition) -> None:
+    assert fast.classes == oracle.classes
+    assert fast.n_rows == oracle.n_rows
+    assert fast.stripped_size == sum(map(len, oracle.classes))
+    assert fast.num_stripped_classes == len(oracle.classes)
+
+
+def _assert_same_float(fast: float, oracle: float) -> None:
+    assert type(fast) is float
+    assert fast == oracle
 
 
 def _assert_same_supertuple(fast: SuperTuple, oracle: SuperTuple) -> None:
@@ -46,18 +76,19 @@ def _assert_same_supertuple(fast: SuperTuple, oracle: SuperTuple) -> None:
 
 @given(skewed_tables())
 @settings(max_examples=80, deadline=None)
+def test_singles_match_dict_groups_oracle(table):
+    for name, single in _singles(table).items():
+        oracle = partition_single_dict_groups(table.column(name), len(table))
+        _assert_same_classes(single, oracle)
+
+
+@given(skewed_tables())
+@settings(max_examples=80, deadline=None)
 def test_product_matches_dict_probe_oracle(table):
-    singles = _singles(table)
-    pairs = {
-        (a, b): partition_product(singles[a], singles[b])
-        for a, b in combinations(singles, 2)
-    }
-    inputs = list(singles.values()) + list(pairs.values())
-    for left, right in permutations(inputs, 2):
+    for left, right in permutations(_singles_and_pairs(table), 2):
         product = partition_product(left, right)
-        oracle = partition_product_dict_probe(left, right)
-        assert product.classes == oracle.classes
-        assert product.n_rows == oracle.n_rows
+        _assert_same_classes(product, partition_product_dict_probe(left, right))
+        _assert_same_classes(product, partition_product_class_map(left, right))
 
 
 @given(skewed_tables())
@@ -75,21 +106,52 @@ def test_g3_matches_per_row_oracle(table):
                     continue
                 combined = partition_product(lhs, singles[rhs])
                 fast = dependency_error(lhs, combined)
-                oracle = dependency_error_per_row(lhs, combined)
-                assert fast == oracle, (lhs_names, rhs)
+                _assert_same_float(fast, dependency_error_per_row(lhs, combined))
+                _assert_same_float(
+                    fast, dependency_error_representative(lhs, combined)
+                )
 
 
-@given(skewed_tables(min_rows=1), st.sampled_from([0.0, 0.1, 0.25]))
+@given(skewed_tables())
+@settings(max_examples=80, deadline=None)
+def test_key_and_null_errors_match_oracles(table):
+    for partition in _singles_and_pairs(table):
+        _assert_same_float(key_error(partition), key_error_classes(partition))
+        _assert_same_float(
+            tane._null_error(partition), null_error_classes(partition)
+        )
+
+
+@given(
+    skewed_tables(min_rows=1),
+    st.sampled_from([0.0, 0.1, 0.25]),
+    st.sampled_from([0, 3]),
+)
 @settings(max_examples=40, deadline=None)
-def test_mined_model_matches_oracle_miner(table, threshold):
-    config = tane.TaneConfig(error_threshold=threshold, key_error_threshold=0.5)
+def test_mined_model_matches_oracle_miner(table, threshold, numeric_bins):
+    config = tane.TaneConfig(
+        error_threshold=threshold,
+        key_error_threshold=0.5,
+        numeric_bins=numeric_bins,
+    )
     fast = tane.TaneMiner(config).mine(table)
-    with mock.patch.object(
-        tane, "dependency_error", dependency_error_per_row
-    ), mock.patch.object(tane, "partition_product", partition_product_dict_probe):
+    with mock.patch.multiple(
+        tane,
+        partition_single=partition_single_dict_groups,
+        partition_product=partition_product_class_map,
+        dependency_error=dependency_error_representative,
+        key_error=key_error_classes,
+        _null_error=null_error_classes,
+    ):
         oracle = tane.TaneMiner(config).mine(table)
     assert list(fast.afds) == list(oracle.afds)
     assert list(fast.keys) == list(oracle.keys)
+    # An np.float64 error would compare equal but change repr, and with
+    # it the stored model.
+    assert repr(list(fast.afds)) == repr(list(oracle.afds))
+    assert repr(list(fast.keys)) == repr(list(oracle.keys))
+    for artifact in (*fast.afds, *fast.keys):
+        assert type(artifact.error) is float
 
 
 @given(skewed_tables(), st.integers(min_value=1, max_value=12), st.sampled_from([1, 2]))

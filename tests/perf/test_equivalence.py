@@ -92,8 +92,6 @@ def test_obs_overhead_scenario_proves_bit_identity():
         top_k=5,
         score_rows=50,
         score_repeats=1,
-        partition_rows=100,
-        partition_products=2,
     )
     result = bench_obs_overhead(scale, _Fixture(scale))
     assert result.name == "obs_overhead"

@@ -20,8 +20,6 @@ def tiny_scale():
         top_k=5,
         score_rows=50,
         score_repeats=1,
-        partition_rows=100,
-        partition_products=2,
         serve_clients=4,
         serve_requests=8,
     )
