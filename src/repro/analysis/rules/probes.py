@@ -11,11 +11,10 @@ does the accounting.  Code outside ``repro.db`` therefore may not:
   index maps, the probe cache) on anything other than ``self``,
 * fabricate ``ProbeLog`` entries — call its mutators
   (``record``/``record_count``/``record_cache_hit``) or bump its
-  counters directly.  The temptation exists since the semantic
-  planner answers subsumed queries *locally*: "correcting" the log so
-  issued counts look like the serial path's would falsify the very
-  measurement Figures 6–7 make.  Locally-answered queries belong in
-  ``RelaxationTrace.probes_subsumed``, never in the ProbeLog.
+  counters directly.  "Correcting" the log so issued counts look
+  like another run's would falsify the very measurement Figures 6–7
+  make; work answered without a probe belongs in the
+  ``RelaxationTrace``, never in the ProbeLog.
 
 Offline construction (``Table``, schemas, predicates) is untouched —
 mining happens on materialised samples, not via probes.

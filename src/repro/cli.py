@@ -30,9 +30,9 @@ Examples::
     python -m repro mine cardb --rows 8000 --sample 2000 --save /tmp/model.json
     python -m repro query cardb --rows 8000 --sample 2000 -k 5 \\
         Model=Camry Price=10000
-    python -m repro query cardb --batched --batch-workers 4 --trace \\
+    python -m repro query cardb --resilient --trace \\
         --events-out events.jsonl --chrome-out trace.json Make=Ford
-    python -m repro trace cardb --batched --batch-workers 4 Make=Ford
+    python -m repro trace cardb Make=Ford
     python -m repro experiment fig5
     python -m repro stats cardb --rows 2000 --sample 500 --format prom
     python -m repro bench --scale smoke --check --out BENCH_perf.json
@@ -49,7 +49,6 @@ from typing import Sequence
 from repro.core.config import AIMQSettings
 from repro.core.pipeline import AIMQModel, build_model
 from repro.core.parser import parse_query
-from repro.core.plan import FRONTIER_MODES, PlannerConfig
 from repro.core.query import ImpreciseQuery
 from repro.core.store import StoreError, load_model, save_model
 from repro.datasets.cardb import cardb_webdb, generate_cardb
@@ -206,12 +205,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     resilience = (
         ResiliencePolicy() if (args.resilient or args.fault_rate > 0.0) else None
     )
-    planner = (
-        PlannerConfig(frontier=args.frontier, workers=args.batch_workers)
-        if args.batched
-        else None
-    )
-    engine = model.engine(webdb, resilience=resilience, planner=planner)
+    engine = model.engine(webdb, resilience=resilience)
     answers = engine.answer(query, k=args.k)
     print(answers.describe(webdb.schema))
     trace = answers.trace
@@ -219,13 +213,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"\n{trace.queries_issued} probes, {trace.tuples_extracted} extracted, "
         f"{trace.tuples_relevant} relevant"
     )
-    if planner is not None:
-        print(
-            f"planner: {trace.probes_subsumed} subsumed, "
-            f"{trace.probes_speculative} speculative, "
-            f"{trace.frontier_batches} frontier batches, "
-            f"{trace.logical_probes} logical probes"
-        )
     if answers.degraded:
         print()
         print(answers.degradation.summary())
@@ -343,14 +330,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     OBS.enable()
     _preregister_stats_families()
     webdb, model = _mine_model(args)
-    # Answer through the resilience wrapper and the semantic planner so
-    # every layer's metric families (attempt outcomes, retries, breaker
-    # state, probe subsumption, frontier batches) appear in the dump.
-    engine = model.engine(
-        webdb,
-        resilience=ResiliencePolicy(),
-        planner=PlannerConfig(frontier="tuple", workers=1),
-    )
+    # Answer through the resilience wrapper so every layer's metric
+    # families (attempt outcomes, retries, breaker state) appear in the
+    # dump.
+    engine = model.engine(webdb, resilience=ResiliencePolicy())
     engine.answer(_demo_query(webdb, model), k=args.k)
     snapshot = OBS.registry.snapshot()
     sections = []
@@ -373,11 +356,16 @@ def _summarise_events(path: str) -> int:
     counts: dict[str, int] = {}
     last_answer = None
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{number}: an event must be a JSON object, "
+                    f"got {type(record).__name__}"
+                )
             name = str(record.get("event", "?"))
             counts[name] = counts.get(name, 0) + 1
             if name.startswith("engine."):
@@ -407,12 +395,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         query = _demo_query(webdb, model)
     resilience = ResiliencePolicy() if args.resilient else None
-    planner = (
-        PlannerConfig(frontier=args.frontier, workers=args.batch_workers)
-        if args.batched
-        else None
-    )
-    engine = model.engine(webdb, resilience=resilience, planner=planner)
+    engine = model.engine(webdb, resilience=resilience)
     engine.answer(query, k=args.k)
     root = None
     for candidate in reversed(OBS.tracer.traces()):
@@ -645,26 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for the deterministic fault schedule (default: 0)",
     )
-    query.add_argument(
-        "--batched",
-        action="store_true",
-        help="answer through the semantic probe planner (batched "
-        "frontiers + containment-based probe reuse; bit-identical "
-        "answers)",
-    )
-    query.add_argument(
-        "--frontier",
-        choices=FRONTIER_MODES,
-        default="tuple",
-        help="planner frontier mode for --batched (default: tuple)",
-    )
-    query.add_argument(
-        "--batch-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="bounded thread pool size for batch dispatch (default: 1)",
-    )
     _add_obs_args(query, suppress=True)
     query.add_argument(
         "constraints",
@@ -710,24 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=7)
     trace.add_argument("--model", help="load a stored model instead of mining")
     trace.add_argument("-k", type=int, default=5)
-    trace.add_argument(
-        "--batched",
-        action="store_true",
-        help="answer through the semantic probe planner",
-    )
-    trace.add_argument(
-        "--frontier",
-        choices=FRONTIER_MODES,
-        default="tuple",
-        help="planner frontier mode for --batched (default: tuple)",
-    )
-    trace.add_argument(
-        "--batch-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="bounded thread pool size for batch dispatch (default: 1)",
-    )
     trace.add_argument(
         "--resilient",
         action="store_true",

@@ -23,7 +23,6 @@ from repro.core.pipeline import (
     build_model,
     build_model_from_sample,
 )
-from repro.core.plan import PlannerConfig, PlanSession, SemanticProbeStore
 from repro.core.query import (
     BaseQueryMapper,
     BaseSet,
@@ -66,14 +65,11 @@ __all__ = [
     "GuidedRelax",
     "ImpreciseQuery",
     "LikeConstraint",
-    "PlanSession",
-    "PlannerConfig",
     "PreciseConstraint",
     "RandomRelax",
     "RankedAnswer",
     "RelaxationStep",
     "RelaxationTrace",
-    "SemanticProbeStore",
     "StoreError",
     "TupleSimilarity",
     "answer_rank_key",

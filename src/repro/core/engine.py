@@ -21,19 +21,14 @@ efficiency experiments (Figs 6–7) read off directly.
 from __future__ import annotations
 
 import heapq
-from contextlib import nullcontext
-from typing import Iterator, Mapping, Sequence
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
+from typing import Callable, ContextManager, Iterable, Iterator, Mapping
 
 from repro.core.attribute_order import AttributeOrdering
 from repro.core.config import AIMQSettings
-from repro.core.plan import PlannerConfig, PlanSession
 from repro.core.query import BaseQueryMapper, ImpreciseQuery
-from repro.core.relaxation import (
-    GuidedRelax,
-    RelaxationStep,
-    _RelaxerBase,
-    tuple_as_query,
-)
+from repro.core.relaxation import GuidedRelax, _RelaxerBase, tuple_as_query
 from repro.core.results import (
     AnswerSet,
     RankedAnswer,
@@ -66,6 +61,32 @@ class _ExpansionAborted(Exception):
     expanding and let the already-ranked tuples stand as the answer."""
 
 
+def _untimed_phase(name: str) -> ContextManager[None]:
+    return nullcontext()
+
+
+@dataclass
+class _Call:
+    """The state one ``answer``/``gather_similar`` call threads through
+    :meth:`AIMQEngine._driven`: its trace, ``T_sim``, the extended set
+    (deduplicated by row id) and, once ranked, the answers."""
+
+    trace: RelaxationTrace
+    threshold: float
+    phase: Callable[[str], ContextManager[None]]
+    extended: dict[int, RankedAnswer] = field(default_factory=dict)
+    answers: list[RankedAnswer] = field(default_factory=list)
+
+    def rank(
+        self, order: Callable[[Iterable[RankedAnswer]], list[RankedAnswer]]
+    ) -> None:
+        """Rank the extended set into ``answers`` with ``order``."""
+        with self.phase("ranking"), OBS.span(
+            "engine.ranking", candidates=len(self.extended)
+        ):
+            self.answers = order(self.extended.values())
+
+
 class AIMQEngine:
     """Online half of AIMQ: answers imprecise queries with mined models."""
 
@@ -79,7 +100,6 @@ class AIMQEngine:
         numeric_extents: dict[str, tuple[float, float]] | None = None,
         resilience: ResiliencePolicy | None = None,
         clock: Clock | None = None,
-        planner: PlannerConfig | None = None,
     ) -> None:
         if resilience is not None and not isinstance(
             webdb, ResilientWebDatabase
@@ -88,9 +108,6 @@ class AIMQEngine:
         self.webdb = webdb
         self.ordering = ordering
         self.settings = settings or AIMQSettings()
-        # Semantic probe planner (repro.core.plan): None — the default —
-        # selects the exact sequential relaxation path.
-        self.planner = planner
         self.strategy = strategy if strategy is not None else GuidedRelax(ordering)
         self.similarity = TupleSimilarity(
             webdb.schema,
@@ -114,66 +131,27 @@ class AIMQEngine:
         similarity_threshold: float | None = None,
     ) -> AnswerSet:
         """Run Algorithm 1 and return the top-k ranked answer set."""
-        settings = self.settings
-        threshold = (
-            settings.similarity_threshold
-            if similarity_threshold is None
-            else similarity_threshold
-        )
-        top_k = settings.top_k if k is None else k
-
-        trace = RelaxationTrace()
-        recorder = OBS.flight_recorder("engine.answer")
-        log_before = self.webdb.log.snapshot() if recorder is not None else None
-        phase = (
-            recorder.phase
-            if recorder is not None
-            else (lambda name: nullcontext())
-        )
-        resilience_before = self._snapshot_resilience()
-        with OBS.span(
-            "engine.answer", query=query.describe(), k=top_k
-        ) as root, self._deadline_scope():
-            if recorder is not None and OBS.enabled:
-                # Events and spans of one call share the span's id.
-                recorder.trace_id = root.trace_id
-            base_rows: list[tuple[int, tuple]] = []
-            with phase("mapping"):
-                try:
-                    with OBS.span("engine.base_query_mapping") as mapping_span:
-                        base = self.mapper.map(query)
-                        mapping_span.set_attribute("base_set_size", len(base))
-                        mapping_span.set_attribute(
-                            "generalisation_steps",
-                            len(base.generalisation_steps),
-                        )
-                except (
-                    ProbeLimitExceededError,
-                    TransientSourceError,
-                    CircuitOpenError,
-                    DeadlineExceededError,
-                ) as exc:
-                    # Without a base set there is nothing to relax; the
-                    # degraded answer is empty but still structured.
-                    trace.degradation.record("base_query", exc)
-                else:
-                    trace.generalisation_steps = base.generalisation_steps
-                    base_rows = list(
-                        zip(base.result.row_ids, base.result.rows)
-                    )
-                    base_rows = base_rows[: settings.base_set_cap]
-            trace.base_set_size = len(base_rows)
+        threshold = self._threshold(similarity_threshold)
+        top_k = self.settings.top_k if k is None else k
+        described = query.describe()
+        with self._driven(
+            "answer", RelaxationTrace(), threshold,
+            span={"query": described, "k": top_k},
+            event_query=described, event_k=top_k,
+        ) as call:
+            with call.phase("mapping"):
+                base_rows = self._base_rows(query, call.trace)
+            call.trace.base_set_size = len(base_rows)
 
             # One compiled scorer serves every Sim(Q, t) evaluation of
             # this call: the weight table and per-value VSim lookups are
             # resolved once instead of per candidate row.
             query_scorer = self.similarity.query_scorer(query)
 
-            # Extended set, deduplicated by row id; base tuples are answers
-            # by construction (they satisfy a specialisation of Q).
-            extended: dict[int, RankedAnswer] = {}
+            # Base tuples are answers by construction (they satisfy a
+            # specialisation of Q).
             for base_row_id, base_row in base_rows:
-                extended[base_row_id] = RankedAnswer(
+                call.extended[base_row_id] = RankedAnswer(
                     row_id=base_row_id,
                     row=base_row,
                     similarity=query_scorer(base_row),
@@ -181,53 +159,14 @@ class AIMQEngine:
                     source_base_row_id=base_row_id,
                     relaxation_level=0,
                 )
-
-            session = self._open_plan_session()
-            programs = self._materialise_programs(session, base_rows)
-            with phase("expansion"):
-                try:
-                    for tuple_index, (base_row_id, base_row) in enumerate(
-                        base_rows
-                    ):
-                        try:
-                            self._expand_base_tuple(
-                                base_row_id, base_row, query_scorer,
-                                threshold, extended, trace,
-                                session=session,
-                                steps=(
-                                    programs[tuple_index]
-                                    if programs is not None
-                                    else None
-                                ),
-                                tuple_index=tuple_index,
-                            )
-                        except _ExpansionAborted:
-                            break
-                finally:
-                    self._close_plan_session(session, trace)
-
-            with phase("ranking"), OBS.span(
-                "engine.ranking", candidates=len(extended)
-            ):
-                # nsmallest(k, key=...) == sorted(key=...)[:k] by
-                # contract, so the deterministic tie-break (see
-                # answer_rank_key) is preserved while only a k-sized
-                # heap is maintained.
-                answers = heapq.nsmallest(
-                    top_k, extended.values(), key=answer_rank_key
-                )
-            root.set_attribute("answers", len(answers))
-            root.set_attribute("probes", trace.queries_issued)
-            root.set_attribute("degraded", trace.degraded)
-        self._finish_degradation(trace, resilience_before)
-        if OBS.enabled:
-            self._record_query_metrics("answer", trace)
-        if recorder is not None:
-            self._emit_query_event(
-                recorder, "answer", query.describe(), trace, log_before,
-                answers=len(answers), k=top_k, threshold=threshold,
+            self._expand(call, base_rows, query_scorer)
+            # nsmallest(k, key=...) == sorted(key=...)[:k] by contract,
+            # so the deterministic tie-break (see answer_rank_key) is
+            # preserved while only a k-sized heap is maintained.
+            call.rank(
+                lambda found: heapq.nsmallest(top_k, found, key=answer_rank_key)
             )
-        return AnswerSet(query=query, answers=answers, trace=trace)
+        return AnswerSet(query=query, answers=call.answers, trace=call.trace)
 
     def answer_by_example(
         self,
@@ -259,92 +198,132 @@ class AIMQEngine:
         ``T_sim``, reporting the work done in the trace.  Answers are
         ranked by similarity to the seed tuple.
         """
-        settings = self.settings
-        threshold = (
-            settings.similarity_threshold
-            if similarity_threshold is None
-            else similarity_threshold
-        )
-        trace = RelaxationTrace(base_set_size=1)
-        extended: dict[int, RankedAnswer] = {}
+        threshold = self._threshold(similarity_threshold)
         seed_id = row_id if row_id is not None else -1
-        recorder = OBS.flight_recorder("engine.gather_similar")
+        with self._driven(
+            "gather_similar", RelaxationTrace(base_set_size=1), threshold,
+            span={"row_id": seed_id, "threshold": threshold},
+            event_query=f"row:{seed_id}",
+            event_k=target if target is not None else 0,
+        ) as call:
+            self._expand(call, [(seed_id, row)], None, target=target)
+            call.rank(lambda found: sorted(found, key=base_rank_key))
+        return call.answers, call.trace
+
+    # -- internals --------------------------------------------------------
+
+    def _threshold(self, override: float | None) -> float:
+        if override is None:
+            return self.settings.similarity_threshold
+        return override
+
+    @contextmanager
+    def _driven(
+        self,
+        mode: str,
+        trace: RelaxationTrace,
+        threshold: float,
+        span: dict[str, object],
+        event_query: str,
+        event_k: int,
+    ) -> Iterator[_Call]:
+        """The scaffolding every answering call shares.
+
+        Before the caller's body: the flight recorder (with the
+        ProbeLog snapshot its ``log_*`` deltas need), the resilience
+        snapshot, the ``engine.<mode>`` root span and the query's
+        deadline scope.  After it: the root span's result attributes,
+        this call's share of retries and breaker opens, the query
+        metrics and the one wide event.
+        """
+        recorder = OBS.flight_recorder(f"engine.{mode}")
         log_before = self.webdb.log.snapshot() if recorder is not None else None
-        phase = (
-            recorder.phase
-            if recorder is not None
-            else (lambda name: nullcontext())
+        call = _Call(
+            trace,
+            threshold,
+            recorder.phase if recorder is not None else _untimed_phase,
         )
         resilience_before = self._snapshot_resilience()
-        with OBS.span(
-            "engine.gather_similar", row_id=seed_id, threshold=threshold
-        ) as root, self._deadline_scope():
+        with OBS.span(f"engine.{mode}", **span) as root, self._deadline_scope():
             if recorder is not None and OBS.enabled:
+                # Events and spans of one call share the span's id.
                 recorder.trace_id = root.trace_id
-            session = self._open_plan_session()
-            with phase("expansion"):
-                try:
-                    self._expand_base_tuple(
-                        seed_id,
-                        row,
-                        None,
-                        threshold,
-                        extended,
-                        trace,
-                        target=target,
-                        session=session,
-                    )
-                except _ExpansionAborted:
-                    pass
-                finally:
-                    self._close_plan_session(session, trace)
-            with phase("ranking"), OBS.span(
-                "engine.ranking", candidates=len(extended)
-            ):
-                answers = sorted(extended.values(), key=base_rank_key)
-            root.set_attribute("answers", len(answers))
+            yield call
+            root.set_attribute("answers", len(call.answers))
             root.set_attribute("probes", trace.queries_issued)
             root.set_attribute("degraded", trace.degraded)
         self._finish_degradation(trace, resilience_before)
         if OBS.enabled:
-            self._record_query_metrics("gather_similar", trace)
+            self._record_query_metrics(mode, trace)
         if recorder is not None:
             self._emit_query_event(
-                recorder, "gather_similar", f"row:{seed_id}", trace,
-                log_before, answers=len(answers),
-                k=target if target is not None else 0,
-                threshold=threshold,
+                recorder, mode, event_query, trace, log_before,
+                answers=len(call.answers), k=event_k, threshold=threshold,
             )
-        return answers, trace
 
-    # -- internals --------------------------------------------------------
+    def _base_rows(
+        self, query: ImpreciseQuery, trace: RelaxationTrace
+    ) -> list[tuple[int, tuple]]:
+        """Map ``query`` to its base set, capped at ``base_set_cap``."""
+        try:
+            with OBS.span("engine.base_query_mapping") as mapping_span:
+                base = self.mapper.map(query)
+                mapping_span.set_attribute("base_set_size", len(base))
+                mapping_span.set_attribute(
+                    "generalisation_steps", len(base.generalisation_steps)
+                )
+        except (
+            ProbeLimitExceededError,
+            TransientSourceError,
+            CircuitOpenError,
+            DeadlineExceededError,
+        ) as exc:
+            # Without a base set there is nothing to relax; the
+            # degraded answer is empty but still structured.
+            trace.degradation.record("base_query", exc)
+            return []
+        trace.generalisation_steps = base.generalisation_steps
+        base_rows = list(zip(base.result.row_ids, base.result.rows))
+        return base_rows[: self.settings.base_set_cap]
+
+    def _expand(
+        self,
+        call: _Call,
+        base_rows: list[tuple[int, tuple]],
+        query_scorer: BindingsScorer | None,
+        target: int | None = None,
+    ) -> None:
+        """Relax each base tuple in turn; a doomed probe ends the call."""
+        with call.phase("expansion"):
+            for base_row_id, base_row in base_rows:
+                try:
+                    self._expand_base_tuple(
+                        call, base_row_id, base_row, query_scorer, target
+                    )
+                except _ExpansionAborted:
+                    break
 
     def _expand_base_tuple(
         self,
+        call: _Call,
         base_row_id: int,
         base_row: tuple,
         query_scorer: BindingsScorer | None,
-        threshold: float,
-        extended: dict[int, RankedAnswer],
-        trace: RelaxationTrace,
-        target: int | None = None,
-        session: PlanSession | None = None,
-        steps: Sequence[RelaxationStep] | None = None,
-        tuple_index: int = 0,
+        target: int | None,
     ) -> None:
         """Relax one base tuple until its quota of similar tuples is met.
 
         With ``query_scorer=None`` (tuple-query mode) the answer's
-        query similarity equals its base similarity.  With an active
-        ``session`` the relaxation steps route through the semantic
-        planner (frontier batching + local reuse) but are consumed in
-        the identical serial order; ``steps`` optionally supplies a
-        pre-materialised program (frontier="all").
+        query similarity equals its base similarity.
         """
         settings = self.settings
-        schema = self.webdb.schema
+        trace = call.trace
+        threshold = call.threshold
+        extended = call.extended
         bound_query = tuple_as_query(
-            base_row, schema, numeric_band=settings.tuple_query_numeric_band
+            base_row,
+            self.webdb.schema,
+            numeric_band=settings.tuple_query_numeric_band,
         )
         # Every extracted tuple is compared against this one base row;
         # compile the reference bindings once instead of per comparison.
@@ -370,8 +349,8 @@ class AIMQEngine:
         with OBS.span(
             "engine.expand_base_tuple", base_row_id=base_row_id
         ) as expand_span:
-            for step in self._step_source(
-                bound_query, session, steps, tuple_index
+            for step in self.strategy.relaxation_steps(
+                bound_query, settings.max_relaxation_level
             ):
                 if relevant_found >= quota:
                     break
@@ -383,7 +362,7 @@ class AIMQEngine:
                     relaxed=",".join(step.relaxed_attributes),
                 ) as step_span:
                     try:
-                        result, probe_kind = self._probe_step(step, session)
+                        result = self.webdb.query(step.query)
                     except (ProbeLimitExceededError, CircuitOpenError) as exc:
                         # Terminal for the whole call: no future probe
                         # can succeed either.
@@ -421,10 +400,8 @@ class AIMQEngine:
                         "Relaxation probes issued, by relaxation level.",
                         labels=("level",),
                     ).labels(level=step.level).inc()
-                if probe_kind == "cached":
+                if result.from_cache:
                     trace.probes_cached += 1
-                elif probe_kind == "subsumed":
-                    trace.probes_subsumed += 1
                 else:
                     trace.queries_issued += 1
                 trace.deepest_level = max(trace.deepest_level, step.level)
@@ -469,135 +446,6 @@ class AIMQEngine:
                         break
             expand_span.set_attribute("extracted", extracted)
             expand_span.set_attribute("relevant", relevant_found)
-
-    # -- semantic planning -------------------------------------------------
-
-    def _open_plan_session(self) -> PlanSession | None:
-        """A fresh planning session, or None on the sequential path."""
-        if self.planner is None:
-            return None
-        return PlanSession(self.webdb, self.planner)
-
-    def _close_plan_session(
-        self, session: PlanSession | None, trace: RelaxationTrace
-    ) -> None:
-        """Fold the session's scheduling counters into the trace."""
-        if session is None:
-            return
-        session.close()
-        trace.frontier_batches = session.frontier_batches
-        trace.probes_speculative = session.probes_speculative
-
-    def _materialise_programs(
-        self,
-        session: PlanSession | None,
-        base_rows: list[tuple[int, tuple]],
-    ) -> list[list[RelaxationStep]] | None:
-        """Pre-build every base tuple's relaxation program (frontier="all").
-
-        Programs are materialised in tuple order, so a seeded
-        RandomRelax draws its RNG stream in the serial sequence.  (The
-        draws happen earlier than on the sequential path, which is
-        observable across *subsequent* calls only when this call aborts
-        early — the serial path would then never have created the later
-        tuples' generators.  Documented in docs/PERFORMANCE.md.)
-        """
-        if (
-            session is None
-            or not session.active
-            or session.config.frontier != "all"
-        ):
-            return None
-        settings = self.settings
-        schema = self.webdb.schema
-        programs: list[list[RelaxationStep]] = []
-        for _, base_row in base_rows:
-            bound_query = tuple_as_query(
-                base_row, schema,
-                numeric_band=settings.tuple_query_numeric_band,
-            )
-            programs.append(
-                list(
-                    self.strategy.relaxation_steps(
-                        bound_query, settings.max_relaxation_level
-                    )
-                )
-            )
-        session.set_programs(
-            [
-                [(step.query, step.level) for step in program]
-                for program in programs
-            ]
-        )
-        return programs
-
-    def _step_source(
-        self,
-        bound_query,
-        session: PlanSession | None,
-        steps: Sequence[RelaxationStep] | None,
-        tuple_index: int,
-    ) -> Iterator[RelaxationStep]:
-        """The relaxation step stream for one base tuple.
-
-        Sequential path: the strategy's lazy generator, untouched.
-        Batched path: the same steps in the same order, materialised so
-        contiguous same-level runs can be announced to the session as
-        frontier batches before being consumed.
-        """
-        if session is None or not session.active:
-            if steps is not None:
-                return iter(steps)
-            return self.strategy.relaxation_steps(
-                bound_query, self.settings.max_relaxation_level
-            )
-        if steps is None:
-            steps = list(
-                self.strategy.relaxation_steps(
-                    bound_query, self.settings.max_relaxation_level
-                )
-            )
-        return self._batched_steps(steps, session, tuple_index)
-
-    @staticmethod
-    def _batched_steps(
-        steps: Sequence[RelaxationStep],
-        session: PlanSession,
-        tuple_index: int,
-    ) -> Iterator[RelaxationStep]:
-        """Yield steps serially, prefetching each same-level run first.
-
-        GuidedRelax emits levels contiguously, so a run is one whole
-        relaxation level; RandomRelax's shuffled stream degrades to
-        short runs, which bounds its speculation accordingly.
-        """
-        index = 0
-        total = len(steps)
-        while index < total:
-            level = steps[index].level
-            run_end = index
-            while run_end < total and steps[run_end].level == level:
-                run_end += 1
-            group = steps[index:run_end]
-            session.prefetch(
-                [step.query for step in group], tuple_index, level
-            )
-            yield from group
-            index = run_end
-
-    def _probe_step(
-        self, step: RelaxationStep, session: PlanSession | None
-    ) -> tuple:
-        """Resolve one relaxation step and classify its accounting.
-
-        Returns ``(result, kind)``, ``kind`` ∈ {"issued", "cached",
-        "subsumed"}; exceptions propagate for the caller's degradation
-        handling exactly as direct ``webdb.query`` calls did.
-        """
-        if session is not None:
-            return session.fetch(step.query)
-        result = self.webdb.query(step.query)
-        return result, ("cached" if result.from_cache else "issued")
 
     def _deadline_scope(self):
         """The per-query deadline window (no-op without resilience)."""
@@ -645,7 +493,6 @@ class AIMQEngine:
         """
         log_delta = self.webdb.log.delta(log_before)
         degradation = trace.degradation
-        planner = self.planner
         recorder.note(
             mode=mode,
             dataset=self.webdb.schema.name,
@@ -659,13 +506,9 @@ class AIMQEngine:
             probes_issued=trace.queries_issued,
             probes_cached=trace.probes_cached,
             probes_subsumed=trace.probes_subsumed,
-            probes_speculative=trace.probes_speculative,
             logical_probes=trace.logical_probes,
-            frontier_batches=trace.frontier_batches,
             tuples_extracted=trace.tuples_extracted,
             tuples_relevant=trace.tuples_relevant,
-            frontier="none" if planner is None else planner.frontier,
-            batch_workers=0 if planner is None else planner.workers,
             resilient=isinstance(self.webdb, ResilientWebDatabase),
             degraded=trace.degraded,
             steps_skipped=len(degradation.skipped),
@@ -707,18 +550,6 @@ class AIMQEngine:
             "repro_core_tuples_relevant_total",
             "Extracted tuples clearing the similarity threshold.",
         ).inc(trace.tuples_relevant)
-        # Registered unconditionally (inc(0) on the sequential path) so
-        # `repro stats` always shows the planner families alongside the
-        # rest of the pipeline.
-        registry.counter(
-            "repro_core_probes_subsumed_total",
-            "Relaxation steps answered locally from subsuming "
-            "results instead of probing the source.",
-        ).inc(trace.probes_subsumed)
-        registry.counter(
-            "repro_core_frontier_batches_total",
-            "Frontier waves scheduled by the semantic planner.",
-        ).inc(trace.frontier_batches)
         if trace.degraded:
             registry.counter(
                 "repro_core_degraded_answers_total",

@@ -18,7 +18,6 @@ from repro.afd.tane import TaneMiner
 from repro.core.attribute_order import AttributeOrdering, compute_attribute_ordering
 from repro.core.config import AIMQSettings
 from repro.core.engine import AIMQEngine
-from repro.core.plan import PlannerConfig
 from repro.core.relaxation import RandomRelax, _RelaxerBase
 from repro.db import AutonomousWebDatabase, Table
 from repro.obs.runtime import OBS, timed_phase
@@ -67,16 +66,12 @@ class AIMQModel:
         strategy: _RelaxerBase | None = None,
         resilience: "ResiliencePolicy | None" = None,
         clock: "Clock | None" = None,
-        planner: "PlannerConfig | None" = None,
     ) -> AIMQEngine:
         """Online engine over ``webdb`` (GuidedRelax unless overridden).
 
         Passing ``resilience`` wraps the facade in
         :class:`~repro.resilience.ResilientWebDatabase`, giving every
         probe of this engine retry/breaker/deadline protection.
-        Passing ``planner`` opts the engine into the semantic probe
-        planner (:mod:`repro.core.plan`): batched frontier dispatch
-        plus containment-based probe reuse, bit-identical answers.
         """
         return AIMQEngine(
             webdb=webdb,
@@ -87,7 +82,6 @@ class AIMQModel:
             numeric_extents=self.numeric_extents,
             resilience=resilience,
             clock=clock,
-            planner=planner,
         )
 
     def random_engine(

@@ -45,8 +45,8 @@ def answer_rank_key(answer: RankedAnswer) -> tuple[float, float, int]:
     (descending), then base-tuple similarity (descending), then row id
     (ascending).  The trailing row id makes every tie-break explicit
     and total: two answers never compare equal, so the top-k cut is
-    deterministic regardless of how — serially or batched — the
-    extended set was populated.
+    deterministic regardless of the order the extended set was
+    populated in.
     """
     return (-answer.similarity, -answer.base_similarity, answer.row_id)
 
@@ -71,30 +71,18 @@ class RelaxationTrace:
     the cache off (the default, and how the efficiency benchmarks run)
     ``probes_cached`` is always zero.
 
-    The semantic planner (``repro.core.plan``, opt-in) adds three more
-    counters, all zero on the sequential path:
-
-    * ``probes_subsumed`` — logical relaxation steps answered locally,
-      by replaying an already-fetched result or deriving it from a
-      containing one.  No source traffic, no budget charge.
-    * ``probes_speculative`` — batch-prefetched probes that reached
-      the source but were never demanded (expansion stopped first).
-      These appear in ``ProbeLog.probes_issued`` but belong to no
-      logical step, so they are reported separately.
-    * ``frontier_batches`` — how many frontier waves the planner
-      scheduled.
-
-    ``logical_probes`` is invariant across scheduling modes: the
-    batched engine demands exactly the serial probe stream, it just
-    answers part of it without the source.
+    ``probes_subsumed`` counts relaxation steps answered without the
+    source or its probe cache.  The engine has no such path, so it is
+    always 0; it stays in the trace, the ``/query`` payload and the
+    wide event so the accounting identity ``logical_probes == issued +
+    cached + subsumed`` that dashboards and the end-to-end benchmark
+    check keeps its shape.
     """
 
     base_set_size: int = 0
     queries_issued: int = 0
     probes_cached: int = 0
     probes_subsumed: int = 0
-    probes_speculative: int = 0
-    frontier_batches: int = 0
     tuples_extracted: int = 0
     tuples_relevant: int = 0
     deepest_level: int = 0
@@ -113,23 +101,8 @@ class RelaxationTrace:
 
     @property
     def logical_probes(self) -> int:
-        """Relaxation steps resolved, however they were answered.
-
-        ``queries_issued + probes_cached + probes_subsumed``: the
-        demand stream is identical in serial and batched mode, so this
-        equals the serial path's ``total_lookups`` by construction.
-        """
+        """Relaxation steps resolved, however they were answered."""
         return self.queries_issued + self.probes_cached + self.probes_subsumed
-
-    @property
-    def source_probes(self) -> int:
-        """Probes that actually reached the source, speculation included.
-
-        Matches the :class:`~repro.db.ProbeLog` delta for the call
-        (modulo base-query mapping probes, which the trace never
-        counted).
-        """
-        return self.queries_issued + self.probes_speculative
 
     @property
     def work_per_relevant_tuple(self) -> float:

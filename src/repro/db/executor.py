@@ -113,9 +113,7 @@ class QueryResult:
 
     ``from_cache`` marks results the facade served from its probe
     cache rather than from the source; payloads are identical either
-    way, the flag only drives probe accounting.  ``derived`` marks
-    results the semantic planner computed locally by filtering a
-    containing query's rows — no probe reached the source at all.
+    way, the flag only drives probe accounting.
 
     Rows are always ordered by ascending row id (the canonical result
     order, see :meth:`Executor.execute`), so two results for the same
@@ -128,7 +126,6 @@ class QueryResult:
     rows: tuple[tuple, ...]
     truncated: bool = False
     from_cache: bool = False
-    derived: bool = False
 
     def __len__(self) -> int:
         return len(self.row_ids)
@@ -239,9 +236,8 @@ class Executor:
         Results come back in *canonical order*: ascending row id,
         whatever plan served the query.  Index candidates are sorted
         into that order before the verify loop, so a paged window
-        always means "the first N matches by row id" — a
-        plan-independent contract the semantic planner relies on when
-        it derives one query's result from another's.
+        always means "the first N matches by row id", whichever plan
+        served it.
         """
         if offset < 0:
             raise ValueError("offset cannot be negative")

@@ -47,10 +47,9 @@ class Predicate:
 
         Two predicates describing the same form constraint — regardless
         of construction order or ``IsIn`` value order — share one
-        canonical form.  The probe cache keys on it and the semantic
-        planner uses set-inclusion over canonical forms to decide query
-        containment, so the form must be *exact*: no two semantically
-        different predicates may collide.
+        canonical form.  The probe cache keys on it, so the form must
+        be *exact*: no two semantically different predicates may
+        collide.
         """
         return (self.attribute, type(self).__name__, repr(self))
 

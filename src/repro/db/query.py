@@ -42,9 +42,6 @@ class SelectionQuery:
     _canonical_cache: tuple[tuple[object, ...], ...] | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
-    _canonical_set_cache: frozenset[tuple[object, ...]] | None = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
 
     def __post_init__(self) -> None:
         by_attribute: dict[str, list[Predicate]] = {}
@@ -114,7 +111,7 @@ class SelectionQuery:
         for predicate in self.predicates:
             schema.attribute(predicate.attribute)
 
-    # -- canonicalisation & containment ---------------------------------------
+    # -- canonicalisation -----------------------------------------------------
 
     def canonical_predicates(self) -> tuple[tuple[object, ...], ...]:
         """Sorted canonical forms of every conjunct (memoised).
@@ -124,7 +121,7 @@ class SelectionQuery:
         describe the same form submission share one canonical rendering.
         The result is cached on the instance: relaxation re-canonicalises
         the same queries across every base-set tuple, and the probe cache
-        plus the semantic planner both key on this value.
+        keys on this value.
         """
         cached = self._canonical_cache
         if cached is None:
@@ -133,43 +130,6 @@ class SelectionQuery:
             )
             object.__setattr__(self, "_canonical_cache", cached)
         return cached
-
-    def canonical_form_set(self) -> frozenset[tuple[object, ...]]:
-        """The canonical conjunct forms as a set (memoised).
-
-        Set inclusion over these forms is the planner's containment
-        test; see :meth:`subsumes`.
-        """
-        cached = self._canonical_set_cache
-        if cached is None:
-            cached = frozenset(self.canonical_predicates())
-            object.__setattr__(self, "_canonical_set_cache", cached)
-        return cached
-
-    def subsumes(self, other: "SelectionQuery") -> bool:
-        """True when every row matching ``other`` also matches this query.
-
-        A conjunction Q1 subsumes Q2 exactly when Q1's conjuncts are a
-        subset of Q2's: Q2 enforces everything Q1 does and possibly
-        more, so ``rows(Q2) ⊆ rows(Q1)``.  The test is *syntactic* —
-        conjuncts are compared by canonical form, never by implied
-        ranges — which keeps it trivially sound for every operator the
-        facade supports at the cost of missing some semantic
-        containments (e.g. ``Price < 5`` vs ``Price < 10``).
-        """
-        return self.canonical_form_set() <= other.canonical_form_set()
-
-    def residual_against(self, container: "SelectionQuery") -> tuple[Predicate, ...]:
-        """Conjuncts of this query not already enforced by ``container``.
-
-        Only meaningful when ``container.subsumes(self)``: filtering the
-        container's answer set by the returned predicates then yields
-        exactly this query's answer set (in the container's row order).
-        """
-        covered = container.canonical_form_set()
-        return tuple(
-            p for p in self.predicates if p.canonical_form() not in covered
-        )
 
     # -- evaluation -----------------------------------------------------------
 

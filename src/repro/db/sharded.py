@@ -124,8 +124,8 @@ class ShardedWebDatabase:
 
     Thread-safe the same way :class:`AutonomousWebDatabase` is: one
     re-entrant lock serialises each logical probe end to end (scatter,
-    gather, accounting), so concurrent planner workers observe
-    consistent counters.
+    gather, accounting), so concurrent callers observe consistent
+    counters.
     """
 
     def __init__(

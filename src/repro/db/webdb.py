@@ -225,11 +225,10 @@ class AutonomousWebDatabase:
         self.probe_budget = probe_budget
         self.log = ProbeLog()
         # Serialises probe execution + accounting so concurrent callers
-        # (the batched planner's worker pool) cannot interleave a budget
-        # check, the executor counters, and the ProbeLog update.  The
-        # in-memory substrate therefore runs probes one at a time under
-        # the lock; worker pools only pay off against facades with real
-        # I/O latency.
+        # (server request threads share one facade) cannot interleave a
+        # budget check, the executor counters, and the ProbeLog update.
+        # The in-memory substrate therefore runs probes one at a time
+        # under the lock.
         self._accounting_lock = threading.RLock()
         self._fault_policy = fault_policy
         self._probe_cache: ProbeCache | None = (

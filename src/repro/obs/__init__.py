@@ -29,7 +29,6 @@ from repro.obs.tracing import (
     NOOP_SPAN,
     NullTracer,
     Span,
-    TraceContext,
     Tracer,
     next_trace_id,
     render_span_tree,
@@ -51,7 +50,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "Span",
-    "TraceContext",
     "NOOP_SPAN",
     "next_trace_id",
     "render_span_tree",

@@ -4,9 +4,9 @@ Renders :class:`~repro.obs.tracing.Span` trees in the Chrome Trace
 Event JSON format — the "complete event" (``ph: "X"``) flavour, one
 object per span with microsecond ``ts``/``dur`` — loadable directly in
 ``chrome://tracing``, Perfetto (https://ui.perfetto.dev) or ``speedscope``.
-Each span's thread id becomes the Chrome ``tid``, so batch probes
-dispatched through the planner's worker pool render as parallel tracks
-under the answering call instead of one serial lane.
+Each span's thread id becomes the Chrome ``tid``, so spans recorded
+on different threads (concurrent server requests) render as parallel
+tracks instead of one serial lane.
 """
 
 from __future__ import annotations

@@ -10,16 +10,8 @@ same thread.
 Completed root spans go to a bounded ring buffer — a long-lived server
 keeps the most recent traces without growing without bound.
 
-Because the stack is thread-local, work dispatched to another thread
-(the planner's batch pool) would start a fresh root there and lose its
-parentage.  :meth:`Tracer.capture` + :meth:`Tracer.activate` fix that:
-the dispatching thread captures its current span as a
-:class:`TraceContext`, and the worker activates it, borrowing the
-parent span as the bottom of its own stack — so spans the worker opens
-nest under the dispatcher's span and share its trace id.  The borrowed
-parent is never popped by the worker, so it cannot enter the ring
-twice; child-list appends are atomic under the GIL, so concurrent
-workers may attach children to one parent safely.
+Because the stack is thread-local, each thread builds its own span
+trees; nothing carries a span from one thread to another.
 
 Every root span is assigned a ``trace_id`` from a deterministic
 process-wide counter (no wall clock, no RNG — REP001-friendly), and
@@ -36,12 +28,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 __all__ = [
     "Span",
-    "TraceContext",
     "Tracer",
     "NullTracer",
     "NOOP_SPAN",
@@ -144,24 +134,6 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class TraceContext:
-    """A portable capture of one thread's current span.
-
-    Produced by :meth:`Tracer.capture` on the dispatching thread and
-    consumed by :meth:`Tracer.activate` on a worker thread; holding one
-    keeps the parent span alive and addressable across the hop.
-    """
-
-    __slots__ = ("span",)
-
-    def __init__(self, span: Span | None) -> None:
-        self.span = span
-
-    @property
-    def trace_id(self) -> str | None:
-        return self.span.trace_id if self.span is not None else None
-
-
 class _SpanContext:
     """Context manager that opens a span on the tracer's thread stack."""
 
@@ -231,34 +203,6 @@ class Tracer:
             with self._lock:
                 self._traces.append(span)
 
-    # -- cross-thread propagation ---------------------------------------------
-
-    def capture(self) -> TraceContext:
-        """Capture this thread's current span for another thread to adopt."""
-        return TraceContext(self.current())
-
-    @contextmanager
-    def activate(self, context: TraceContext | None) -> Iterator[None]:
-        """Adopt a captured span as this thread's parent for the block.
-
-        The borrowed span sits at the bottom of a fresh stack: spans
-        opened inside the block become its children (and inherit its
-        trace id), but popping back down to it never re-enters it into
-        the completed-trace ring — the owning thread finishes it.  The
-        thread's previous stack is restored on exit, so activation
-        nests and never leaks across pool task boundaries.
-        """
-        if context is None or context.span is None:
-            yield
-            return
-        local = self._local
-        saved = getattr(local, "stack", None)
-        local.stack = [context.span]
-        try:
-            yield
-        finally:
-            local.stack = saved if saved is not None else []
-
     # -- inspection -----------------------------------------------------------
 
     def traces(self) -> list[Span]:
@@ -289,13 +233,6 @@ class NullTracer:
 
     def current(self) -> None:
         return None
-
-    def capture(self) -> TraceContext:
-        return TraceContext(None)
-
-    @contextmanager
-    def activate(self, context: TraceContext | None) -> Iterator[None]:
-        yield
 
     def traces(self) -> list[Span]:
         return []

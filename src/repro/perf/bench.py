@@ -19,20 +19,6 @@ one overhead guard for the resilience layer:
     *guard*, not an optimisation: both paths must produce identical
     answers and the guarded path must stay within the regression
     tolerance — i.e. resilience on the happy path is close to free.
-``semantic_reuse``
-    Answering over an overlap-heavy source (rows drawn from a small
-    pool of correlated profiles, so sibling base tuples share whole
-    relaxation programs) with the sequential engine vs the semantic
-    planner in pure-reuse mode (``frontier="off"``): every relaxed
-    query already answered — exactly or by containment — is served
-    locally instead of re-probing the source.  Equivalence here also
-    requires the planner to issue *strictly fewer* source probes while
-    resolving the *same* logical probe stream.
-``batched_frontier``
-    The same workload with frontier batching on top
-    (``frontier="tuple"``, two workers): each base tuple's
-    per-level frontier is deduplicated and dispatched as a batch
-    before consumption resumes in serial order.
 ``columnar_scan``
     The same CarDB probe workload (paged selections + counts over
     every operator) against the row-dict engine vs the columnar engine
@@ -80,21 +66,18 @@ import json
 import random
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.config import AIMQSettings
 from repro.core.pipeline import AIMQModel, build_model
-from repro.core.plan import PlannerConfig
 from repro.core.query import ImpreciseQuery
-from repro.core.results import RankedAnswer, RelaxationTrace
+from repro.core.results import RankedAnswer
 from repro.datasets.cardb import cardb_webdb, generate_cardb
 from repro.db.predicates import Between, Eq, Ge, Gt, IsIn, Le, Lt, Ne
 from repro.db.query import SelectionQuery
-from repro.db.schema import RelationSchema
 from repro.db.sharded import ShardedWebDatabase
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import ColumnarTable
 from repro.db.webdb import AutonomousWebDatabase
 from repro.obs.runtime import OBS
 from repro.resilience import ResiliencePolicy, ResilientWebDatabase
@@ -236,9 +219,6 @@ class _Fixture:
         self._scale = scale
         self._webdb: AutonomousWebDatabase | None = None
         self._model: AIMQModel | None = None
-        self._overlap: (
-            tuple[AutonomousWebDatabase, AIMQModel, ImpreciseQuery] | None
-        ) = None
 
     def _build(self) -> None:
         if self._webdb is not None:
@@ -263,28 +243,6 @@ class _Fixture:
         self._build()
         assert self._model is not None
         return self._model
-
-    @property
-    def overlap(
-        self,
-    ) -> tuple[AutonomousWebDatabase, AIMQModel, ImpreciseQuery]:
-        """Source + model + query for the semantic-planner scenarios."""
-        if self._overlap is None:
-            webdb, top_value = _overlap_webdb(self._scale)
-            model = build_model(
-                webdb,
-                sample_size=self._scale.sample,
-                rng=random.Random(12),
-                settings=AIMQSettings(
-                    max_relaxation_level=2,
-                    max_extracted_per_base_tuple=250,
-                ),
-            )
-            webdb.reset_accounting()
-            query = ImpreciseQuery.like(webdb.schema.name, A0=top_value)
-            self._overlap = (webdb, model, query)
-        return self._overlap
-
 
 def _fixture_queries(fixture: _Fixture, count: int) -> list[ImpreciseQuery]:
     """Likeness queries built from distinct sample rows."""
@@ -528,126 +486,6 @@ def bench_obs_overhead(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
     )
 
 
-def _overlap_webdb(
-    scale: BenchScale,
-    seed: int = 71,
-    profiles: int = 48,
-    attributes: int = 5,
-    values: int = 12,
-) -> tuple[AutonomousWebDatabase, str]:
-    """Overlap-heavy categorical source for the planner scenarios.
-
-    Rows are drawn (Zipf-weighted) from a small pool of fixed profile
-    tuples rather than independently per attribute.  That correlation
-    is what the semantic planner exploits: base-set tuples sharing a
-    profile share their *entire* relaxation program, and tuples sharing
-    a value prefix hand each other containment-derivable results.
-    Returns the facade plus the most frequent ``A0`` value, whose
-    likeness query yields a full (capped) base set.
-    """
-    rng = random.Random(seed)
-    names = tuple(f"A{index}" for index in range(attributes))
-    schema = RelationSchema.build(
-        "overlapbench", categorical=names, numeric=(), order=names
-    )
-    domains = [
-        [f"v{attribute}_{value}" for value in range(values)]
-        for attribute in range(attributes)
-    ]
-    value_weights = [1.0 / (rank + 1) for rank in range(values)]
-    pool = [
-        tuple(
-            rng.choices(domain, weights=value_weights, k=1)[0]
-            for domain in domains
-        )
-        for _ in range(profiles)
-    ]
-    profile_weights = [1.0 / (rank + 1) for rank in range(profiles)]
-    table = Table(schema)
-    for _ in range(scale.rows):
-        table.insert(rng.choices(pool, weights=profile_weights, k=1)[0])
-    top_value = Counter(row[0] for row in table.rows()).most_common(1)[0][0]
-    return AutonomousWebDatabase(table), str(top_value)
-
-
-def _run_planner_scenario(
-    name: str,
-    scale: BenchScale,
-    fixture: _Fixture,
-    planner: PlannerConfig,
-) -> ScenarioResult:
-    """Serial engine vs planner engine on the overlap-heavy source.
-
-    Equivalence is stricter than output identity: the planner must
-    resolve the *same* logical probe stream (``logical_probes`` equal
-    to the serial path's total lookups) while issuing *strictly fewer*
-    source probes — otherwise the reuse machinery is not actually
-    reusing anything and the scenario fails even if it happens to be
-    fast.
-    """
-    webdb, model, query = fixture.overlap
-    slow_engine = model.engine(webdb)
-    fast_engine = model.engine(webdb, planner=planner)
-
-    def run(engine) -> tuple[list[tuple[int, float, float]], RelaxationTrace]:
-        output: list[tuple[int, float, float]] = []
-        trace = RelaxationTrace()
-        for _ in range(scale.repeats):
-            answers = engine.answer(query)
-            output = [
-                (a.row_id, a.similarity, a.base_similarity) for a in answers
-            ]
-            trace = answers.trace
-        return output, trace
-
-    with webdb.accounting_scope() as slow_window:
-        (slow_out, slow_trace), slow_seconds = _timed(lambda: run(slow_engine))
-    with webdb.accounting_scope() as fast_window:
-        (fast_out, fast_trace), fast_seconds = _timed(lambda: run(fast_engine))
-    equivalent = (
-        slow_out == fast_out
-        and fast_trace.logical_probes == slow_trace.total_lookups
-        and fast_trace.queries_issued < slow_trace.queries_issued
-    )
-    return ScenarioResult(
-        name=name,
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=equivalent,
-        details={
-            "repeats": scale.repeats,
-            "frontier": planner.frontier,
-            "workers": planner.workers,
-            "base_set_size": fast_trace.base_set_size,
-            "probes_issued_serial": slow_trace.queries_issued,
-            "probes_issued_planner": fast_trace.queries_issued,
-            "probes_subsumed": fast_trace.probes_subsumed,
-            "probes_speculative": fast_trace.probes_speculative,
-            "logical_probes": fast_trace.logical_probes,
-            "frontier_batches": fast_trace.frontier_batches,
-            "probelog_issued_serial": slow_window.probes_issued,
-            "probelog_issued_planner": fast_window.probes_issued,
-        },
-    )
-
-
-def bench_semantic_reuse(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    return _run_planner_scenario(
-        "semantic_reuse", scale, fixture, PlannerConfig(frontier="off")
-    )
-
-
-def bench_batched_frontier(
-    scale: BenchScale, fixture: _Fixture
-) -> ScenarioResult:
-    return _run_planner_scenario(
-        "batched_frontier",
-        scale,
-        fixture,
-        PlannerConfig(frontier="tuple", workers=2),
-    )
-
-
 # -- columnar data-plane scenarios --------------------------------------------
 
 #: Paged-probe workload over every operator the facade supports.  The
@@ -834,8 +672,6 @@ SCENARIOS: dict[str, Callable[[BenchScale, _Fixture], ScenarioResult]] = {
     "similarity_memo": bench_similarity_memo,
     "resilience_overhead": bench_resilience_overhead,
     "obs_overhead": bench_obs_overhead,
-    "semantic_reuse": bench_semantic_reuse,
-    "batched_frontier": bench_batched_frontier,
     "columnar_scan": bench_columnar_scan,
     "zone_map_prune": bench_zone_map_prune,
     "sharded_scatter": bench_sharded_scatter,

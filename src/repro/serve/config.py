@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.plan import FRONTIER_MODES
-
 __all__ = ["ServeConfig"]
 
 
@@ -57,9 +55,6 @@ class ServeConfig:
     default_k: int = 10
     max_k: int = 200
     resilient: bool = True
-    batched: bool = False
-    frontier: str = "tuple"
-    batch_workers: int = 1
 
     # -- admission envelope ----------------------------------------------
     max_inflight: int = 8
@@ -88,13 +83,6 @@ class ServeConfig:
             raise ValueError("probe_cache_capacity cannot be negative")
         if self.default_k < 1 or self.max_k < self.default_k:
             raise ValueError("need 1 <= default_k <= max_k")
-        if self.frontier not in FRONTIER_MODES:
-            raise ValueError(
-                f"frontier must be one of {FRONTIER_MODES}, "
-                f"got {self.frontier!r}"
-            )
-        if self.batch_workers < 1:
-            raise ValueError("batch_workers must be at least 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if self.max_queue < 0:

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.core.parser import parse_query
-from repro.core.query import ImpreciseQuery
+from repro.core.query import ImpreciseQuery, LikeConstraint
 from repro.core.results import AnswerSet
 from repro.core.store import StoreError
-from repro.db import DatabaseError
+from repro.db import DatabaseError, RelationSchema
 from repro.obs.export import to_prometheus
 from repro.obs.runtime import OBS
 from repro.resilience import ResilienceError
@@ -105,6 +105,24 @@ def coerce_value(raw: str) -> object:
     return value
 
 
+def _check_query(query: ImpreciseQuery, schema: RelationSchema) -> None:
+    """Raise unless ``query`` fits ``schema``: its relation, known
+    attributes, and a number for every numeric attribute."""
+    query.validate_against(schema)
+    for constraint in query.constraints:
+        attribute = schema.attribute(constraint.attribute)
+        if not attribute.is_numeric:
+            continue
+        if isinstance(constraint, LikeConstraint):
+            values: tuple[object, ...] = (constraint.value,)
+        else:
+            # A parsed comparison's canonical form is (attribute,
+            # operator, operand).
+            values = constraint.predicate.canonical_form()[2:]
+        for value in values:
+            attribute.validate_value(value)
+
+
 def answer_payload(
     answers: AnswerSet, budgets: SessionBudgets | None = None
 ) -> dict[str, Any]:
@@ -137,8 +155,6 @@ def answer_payload(
             "queries_issued": trace.queries_issued,
             "probes_cached": trace.probes_cached,
             "probes_subsumed": trace.probes_subsumed,
-            "probes_speculative": trace.probes_speculative,
-            "frontier_batches": trace.frontier_batches,
             "logical_probes": trace.logical_probes,
             "tuples_extracted": trace.tuples_extracted,
             "tuples_relevant": trace.tuples_relevant,
@@ -286,7 +302,7 @@ class Router:
         bundle = self.state.current()
         try:
             query, k = self._parse_query_request(
-                method, params, body, bundle.webdb.schema.name
+                method, params, body, bundle.webdb.schema
             )
         except ValueError as exc:
             return _json_response(400, {"error": str(exc)})
@@ -327,8 +343,14 @@ class Router:
         method: str,
         params: Mapping[str, Sequence[str]],
         body: bytes,
-        relation: str,
+        schema: RelationSchema,
     ) -> tuple[ImpreciseQuery, int]:
+        """Read one ``/query`` request; anything malformed is a ValueError.
+
+        The query is checked against the schema here, before admission,
+        so a request the engine cannot answer is a 400 rather than a
+        source error (503) or a crash inside the engine (500).
+        """
         text: str | None = None
         bindings: dict[str, object] = {}
         k = self.config.default_k
@@ -337,14 +359,29 @@ class Router:
             if not isinstance(document, dict):
                 raise ValueError("request body must be a JSON object")
             text = document.get("text")
+            if text is not None and not isinstance(text, str):
+                raise ValueError(
+                    f"text must be a string, got {json.dumps(text)}"
+                )
             constraints = document.get("constraints", {})
             if not isinstance(constraints, dict):
                 raise ValueError("'constraints' must be an object")
             for attribute, value in constraints.items():
                 if isinstance(value, str):
                     value = coerce_value(value)
+                elif isinstance(value, bool) or not isinstance(
+                    value, (int, float)
+                ):
+                    raise ValueError(
+                        f"constraint {attribute!r} must be a string or a "
+                        f"number, got {json.dumps(value)}"
+                    )
                 bindings[str(attribute)] = value
-            k = int(document.get("k", k))
+            k = document.get("k", k)
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ValueError(
+                    f"k must be an integer, got {json.dumps(k)}"
+                )
         else:
             for entry in params.get("c", ()):
                 if "=" not in entry:
@@ -361,13 +398,19 @@ class Router:
                 k = int(k_values[0])
         if not 1 <= k <= self.config.max_k:
             raise ValueError(f"k must be in [1, {self.config.max_k}]")
-        if text:
-            if bindings:
-                raise ValueError("use either text or constraints, not both")
-            return parse_query(text, relation=relation), k
-        if not bindings:
+        if text and bindings:
+            raise ValueError("use either text or constraints, not both")
+        if not text and not bindings:
             raise ValueError("provide text or at least one Attr=Value constraint")
-        return ImpreciseQuery.like(relation, **bindings), k
+        try:
+            if text:
+                query = parse_query(text, relation=schema.name)
+            else:
+                query = ImpreciseQuery.like(schema.name, **bindings)
+            _check_query(query, schema)
+        except DatabaseError as exc:
+            raise ValueError(str(exc)) from exc
+        return query, k
 
     # -- observability -----------------------------------------------------
 

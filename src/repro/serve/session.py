@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from types import TracebackType
 from typing import Any, cast
 
-from repro.core.plan import PlannerConfig
 from repro.core.query import ImpreciseQuery
 from repro.core.results import AnswerSet
 from repro.db import (
@@ -155,13 +154,8 @@ class RequestSession:
             resilience = ResiliencePolicy(
                 query_deadline_seconds=budgets.query_deadline_seconds
             )
-        planner = (
-            PlannerConfig(frontier=config.frontier, workers=config.batch_workers)
-            if config.batched
-            else None
-        )
         self.engine = bundle.model.engine(
-            source, resilience=resilience, clock=clock, planner=planner
+            source, resilience=resilience, clock=clock
         )
 
     def answer(self, query: ImpreciseQuery, k: int) -> AnswerSet:

@@ -170,11 +170,11 @@ class TestSnapshot:
 
 
 class TestWorkerThreadSafety:
-    """Registry correctness under batch-worker-style concurrency.
+    """Registry correctness under worker-pool concurrency.
 
-    Mirrors the planner's dispatch shape (`--batch-workers > 1`): a
-    small pool of worker threads hammering the same families the db
-    facade and retrier touch, with exact totals asserted afterwards.
+    Mirrors concurrent server requests: a small pool of worker threads
+    hammering the same families the db facade and retrier touch, with
+    exact totals asserted afterwards.
     """
 
     def test_concurrent_labelled_incs_are_exact(self, registry):

@@ -1,12 +1,11 @@
 """Unit tests for span tracing and the no-op path."""
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.obs import NOOP_SPAN, OBS, render_span_tree, span_summary
-from repro.obs.tracing import NullTracer, TraceContext, Tracer
+from repro.obs.tracing import Tracer
 
 
 class TestSpanNesting:
@@ -145,95 +144,6 @@ class TestTraceIds:
         with tracer.span("root"):
             pass
         assert tracer.last_trace().as_dict()["trace_id"].startswith("t-")
-
-
-class TestCrossThreadPropagation:
-    def test_capture_returns_the_current_span(self):
-        tracer = Tracer()
-        assert tracer.capture().span is None
-        with tracer.span("root") as root:
-            context = tracer.capture()
-            assert context.span is root
-            assert context.trace_id == root.trace_id
-
-    def test_activate_adopts_the_captured_parent(self):
-        tracer = Tracer()
-        results = []
-
-        def worker(context: TraceContext) -> None:
-            with tracer.activate(context):
-                with tracer.span("plan.batch_probe") as span:
-                    results.append(span)
-
-        with tracer.span("engine.answer") as root:
-            thread = threading.Thread(target=worker, args=(tracer.capture(),))
-            thread.start()
-            thread.join()
-        (probe,) = results
-        assert probe in root.children
-        assert probe.trace_id == root.trace_id
-        assert probe.tid != root.tid
-
-    def test_borrowed_parent_never_enters_the_ring(self):
-        tracer = Tracer()
-
-        def worker(context: TraceContext) -> None:
-            with tracer.activate(context):
-                with tracer.span("plan.batch_probe"):
-                    pass
-
-        with tracer.span("engine.answer"):
-            thread = threading.Thread(target=worker, args=(tracer.capture(),))
-            thread.start()
-            thread.join()
-            # The worker popped down to the borrowed parent: no root
-            # completed on its side.
-            assert tracer.traces() == []
-        assert [r.name for r in tracer.traces()] == ["engine.answer"]
-
-    def test_concurrent_workers_all_attach_to_the_parent(self):
-        tracer = Tracer()
-
-        def worker(context: TraceContext, index: int) -> None:
-            with tracer.activate(context):
-                with tracer.span(f"plan.batch_probe_{index}"):
-                    pass
-
-        with tracer.span("engine.answer") as root:
-            context = tracer.capture()
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(worker, context, index) for index in range(16)
-                ]
-                for future in futures:
-                    future.result()
-        assert len(root.children) == 16
-        assert {child.trace_id for child in root.children} == {root.trace_id}
-
-    def test_activate_restores_the_previous_stack(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("borrowed") as borrowed:
-                pass
-            with tracer.activate(TraceContext(borrowed)):
-                assert tracer.current() is borrowed
-            assert tracer.current() is outer
-
-    def test_activate_none_context_is_a_noop(self):
-        tracer = Tracer()
-        with tracer.activate(None):
-            with tracer.span("root"):
-                pass
-        assert [r.name for r in tracer.traces()] == ["root"]
-        with tracer.activate(TraceContext(None)):
-            assert tracer.current() is None
-
-    def test_null_tracer_capture_and_activate(self):
-        tracer = NullTracer()
-        context = tracer.capture()
-        assert context.span is None
-        with tracer.activate(context):
-            assert tracer.current() is None
 
 
 class TestSpanSummary:

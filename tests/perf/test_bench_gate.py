@@ -98,3 +98,13 @@ def test_committed_baseline_matches_the_gate_scale():
     assert baseline["scale"] == "smoke"
     for name, entry in baseline["scenarios"].items():
         assert entry["equivalent"], name
+
+
+def test_every_baseline_scenario_is_registered():
+    # check_baseline only judges scenarios a run reports, so a baseline
+    # entry without a registered scenario is dead weight nobody gates.
+    import repro.serve.bench  # noqa: F401 — registers serve_load on import
+    from repro.perf.bench import SCENARIOS
+
+    baseline = load_report(str(REPO_ROOT / "BENCH_perf.json"))
+    assert set(baseline["scenarios"]) <= set(SCENARIOS)

@@ -24,8 +24,6 @@ def test_defaults_construct():
         {"probe_cache_capacity": -1},
         {"default_k": 0},
         {"max_k": 1, "default_k": 10},
-        {"frontier": "wavefront"},
-        {"batch_workers": 0},
         {"max_inflight": 0},
         {"max_queue": -1},
         {"queue_wait_seconds": -0.1},

@@ -115,6 +115,36 @@ class TestQueryValidation:
         response = make_router().route("POST", "/query", {}, b"{nope")
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        ("method", "params", "document"),
+        [
+            ("POST", {}, {"text": 5}),
+            ("POST", {}, {"constraints": {"Make": ["Ford"]}}),
+            ("POST", {}, {"constraints": {"Make": None}}),
+            ("POST", {}, {"constraints": {"Make": True}}),
+            ("POST", {}, {"constraints": {"Make": "Ford"}, "k": None}),
+            ("POST", {}, {"constraints": {"Make": "Ford"}, "k": [3]}),
+            ("POST", {}, {"constraints": {"Make": "Ford"}, "k": True}),
+            ("POST", {}, {"constraints": {"Make": "Ford"}, "k": 2.7}),
+            ("GET", {"c": ["Price=abc"]}, None),
+            ("GET", {"c": ["Nope=1"]}, None),
+            ("GET", {"text": ["garbage ((("]}, None),
+            ("GET", {"text": ["Other(Make like Ford)"]}, None),
+        ],
+        ids=[
+            "text-number", "value-list", "value-null", "value-bool",
+            "k-null", "k-list", "k-bool", "k-float", "numeric-string",
+            "unknown-attribute", "unparsable-text", "other-relation",
+        ],
+    )
+    def test_malformed_request_is_400(
+        self, make_router, method, params, document
+    ):
+        body = b"" if document is None else json.dumps(document).encode()
+        response = make_router().route(method, "/query", params, body)
+        assert response.status == 400, get_json(response)
+        assert get_json(response)["error"]
+
     def test_text_query_parses_like_the_cli(self, make_router):
         response = make_router().route(
             "GET", "/query", {"text": ["Make like Ford"], "k": ["3"]}

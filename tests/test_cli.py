@@ -188,6 +188,27 @@ class TestCommands:
         code = main(["query", "cardb", "--rows", "1200", "--sample", "500"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["query", "trace"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--batched"], ["--frontier", "all"], ["--batch-workers", "4"]],
+    )
+    def test_planner_flags_are_rejected(self, command, flags, capsys):
+        code = main(
+            [
+                command,
+                "cardb",
+                "--rows",
+                "300",
+                "--sample",
+                "100",
+                *flags,
+                "Make=Ford",
+            ]
+        )
+        assert code == 2
+        assert "must look like Attr=Value" in capsys.readouterr().err
+
     def test_experiment_table1(self, capsys):
         code = main(["experiment", "table1"])
         assert code == 0
@@ -344,9 +365,6 @@ class TestWideEventsCli:
                 "300",
                 "--sample",
                 "100",
-                "--batched",
-                "--batch-workers",
-                "4",
                 "--resilient",
                 "--trace",
                 "--events-out",
@@ -369,8 +387,6 @@ class TestWideEventsCli:
         assert len(answers) == 1
         (event,) = answers
         assert event["dataset"] == "CarDB"
-        assert event["batch_workers"] == 4
-        assert event["frontier"] == "tuple"
         assert event["resilient"] is True
         assert event["logical_probes"] == (
             event["probes_issued"]
@@ -485,9 +501,6 @@ class TestTraceCommand:
                 "300",
                 "--sample",
                 "100",
-                "--batched",
-                "--batch-workers",
-                "2",
                 "Make=Ford",
             ]
         )
@@ -535,6 +548,19 @@ class TestTraceCommand:
         assert "1  engine.answer" in out
         assert '"probes_issued": 2' in out
 
+    def test_from_events_rejects_a_line_that_is_not_an_object(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "e.jsonl"
+        path.write_text(
+            '{"event": "db.probe", "rows": 3}\n[1, 2]\n', encoding="utf-8"
+        )
+        code = main(["trace", "--from-events", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{path}:2:" in err
+
 
 class TestStatsFamilies:
     @pytest.fixture(autouse=True)
@@ -546,7 +572,7 @@ class TestStatsFamilies:
         OBS.disable()
         OBS.reset()
 
-    def test_stats_includes_resilience_and_planner_families(self, capsys):
+    def test_stats_includes_resilience_families(self, capsys):
         code = main(
             ["stats", "cardb", "--rows", "300", "--sample", "120", "-k", "3"]
         )
@@ -561,8 +587,6 @@ class TestStatsFamilies:
             "repro_resilience_breaker_rejections_total",
             "repro_resilience_breaker_transitions_total",
             "repro_resilience_skipped_steps_total",
-            "repro_core_probes_subsumed_total",
-            "repro_core_frontier_batches_total",
         ):
             assert family in out
         assert "# EOF" in out
