@@ -32,10 +32,6 @@ from repro.analysis.source import ProjectContext, SourceModule
 FORBIDDEN_SUBMODULES = (
     "repro.db.executor",
     "repro.db.index",
-    # The columnar data plane: raw column arrays and the vectorized
-    # mask evaluator would answer queries without any ProbeLog entry.
-    "repro.db.columns",
-    "repro.db.vectorized",
 )
 FORBIDDEN_FACADE_NAMES = {"Executor"}
 PRIVATE_DB_ATTRS = {
@@ -51,13 +47,8 @@ PRIVATE_DB_ATTRS = {
     # query exactly, with no ProbeLog entry.
     "_buckets",
     "_posting_sets",
-    # Columnar / sharded internals (same contract as the row internals):
-    # the column store, its typed columns and zone maps, and the
+    # Sharded internals (same contract as the row internals): the
     # sharded facade's shard list and global-id tables.
-    "_store",
-    "_columns",
-    "_zone_maps",
-    "_zone_rows",
     "_shards",
     "_global_ids",
 }

@@ -1,10 +1,10 @@
 """REP010: non-thread-safe objects must not cross executor boundaries.
 
-ProbeLog, RelaxationTrace, the EventLog ring and the ColumnStore
-builders are single-writer by design — the documented pattern for
-moving their contents across threads is *capture*: take an immutable
-``snapshot()``/``delta()`` under the owner, hand the copy across, and
-let the owning facade merge results back.  Handing the live object to
+ProbeLog, RelaxationTrace and the EventLog ring are single-writer by
+design — the documented pattern for moving their contents across
+threads is *capture*: take an immutable ``snapshot()``/``delta()``
+under the owner, hand the copy across, and let the owning facade
+merge results back.  Handing the live object to
 ``Executor.submit`` / ``pool.map`` / ``threading.Thread`` (either as
 the callable's receiver or inside its argument payload) silently
 shares an unsynchronised structure between threads.
@@ -32,9 +32,6 @@ UNSAFE_TYPES = frozenset(
         "ProbeLog",
         "RelaxationTrace",
         "EventLog",
-        "ColumnStore",
-        "CategoricalColumn",
-        "NumericColumn",
     }
 )
 

@@ -25,7 +25,7 @@ import random
 
 from repro.datasets.catalog import CATALOG, COLORS, LOCATIONS, SEGMENTS, ModelSpec
 from repro.db.schema import RelationSchema
-from repro.db.table import DEFAULT_BLOCK_ROWS, ColumnarTable, Table
+from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
 
 __all__ = ["CARDB_SCHEMA", "generate_cardb", "cardb_webdb", "YEAR_RANGE"]
@@ -128,14 +128,8 @@ def generate_cardb(
     seed: int = 7,
     reference_year: int = 2005,
     auto_index: bool = True,
-    columnar: bool = False,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> Table:
     """Generate a CarDB instance with ``n_rows`` listings.
-
-    ``columnar=True`` stores the listings in the columnar engine
-    (:class:`~repro.db.table.ColumnarTable`) instead of row tuples —
-    same rows, same ids, same answers.
 
     >>> table = generate_cardb(100)
     >>> len(table)
@@ -144,11 +138,7 @@ def generate_cardb(
     if n_rows < 0:
         raise ValueError("n_rows cannot be negative")
     rng = random.Random(seed)
-    table: Table = (
-        ColumnarTable(CARDB_SCHEMA, auto_index=auto_index, block_rows=block_rows)
-        if columnar
-        else Table(CARDB_SCHEMA, auto_index=auto_index)
-    )
+    table = Table(CARDB_SCHEMA, auto_index=auto_index)
     rows: list[tuple[object, ...]] = []
     for _ in range(n_rows):
         spec = _pick_model(rng)
@@ -174,17 +164,9 @@ def cardb_webdb(
     seed: int = 7,
     result_cap: int | None = None,
     auto_index: bool = True,
-    columnar: bool = False,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> AutonomousWebDatabase:
     """A CarDB instance wrapped as an autonomous Web source."""
     return AutonomousWebDatabase(
-        generate_cardb(
-            n_rows,
-            seed=seed,
-            auto_index=auto_index,
-            columnar=columnar,
-            block_rows=block_rows,
-        ),
+        generate_cardb(n_rows, seed=seed, auto_index=auto_index),
         result_cap=result_cap,
     )

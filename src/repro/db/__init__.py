@@ -39,7 +39,7 @@ from repro.db.probe_cache import ProbeCache, canonical_probe_key
 from repro.db.query import SelectionQuery
 from repro.db.schema import Attribute, AttributeKind, RelationSchema
 from repro.db.sharded import ShardedWebDatabase, ShardFailure, ShardGuard
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase, ProbeLog
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "AttributeKind",
     "AutonomousWebDatabase",
     "Between",
-    "ColumnarTable",
     "DatabaseError",
     "Eq",
     "ExecutionStats",

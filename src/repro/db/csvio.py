@@ -3,8 +3,9 @@
 Lets experiments persist generated datasets and reload them later so
 benchmarks do not need to re-synthesise data on every run.  The format
 is a plain CSV with a header row; typing is recovered from the schema
-(numeric columns are parsed as int when the text has no decimal point,
-float otherwise; empty cells become null).
+(a numeric cell is parsed as an int when it is one and as a float
+otherwise, so ``inf``, ``-inf`` and ``nan`` round-trip; empty cells
+become null).
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import csv
 from pathlib import Path
 from typing import Iterable
 
-from repro.db.columns import DEFAULT_BLOCK_ROWS
 from repro.db.errors import SchemaError
 from repro.db.schema import RelationSchema
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 
 __all__ = ["write_csv", "read_csv"]
 
@@ -36,37 +36,29 @@ def write_csv(table: Table, path: str | Path) -> int:
 
 
 def _parse_numeric(text: str) -> object:
+    """An int when ``text`` is one, else a float; raises ValueError."""
     if text == "":
         return None
     try:
-        if "." in text or "e" in text or "E" in text:
-            return float(text)
         return int(text)
-    except ValueError as exc:
-        raise SchemaError(f"cannot parse numeric cell {text!r}") from exc
+    except ValueError:
+        return float(text)
 
 
 def _parse_categorical(text: str) -> object:
     return None if text == "" else text
 
 
-def read_csv(
-    schema: RelationSchema,
-    path: str | Path,
-    columnar: bool = False,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
-) -> Table:
+def read_csv(schema: RelationSchema, path: str | Path) -> Table:
     """Load a table previously written by :func:`write_csv`.
 
     The header must list exactly the schema's attributes, though column
-    order in the file may differ from schema order.  With
-    ``columnar=True`` the rows land directly in a
-    :class:`ColumnarTable` (same contents, columnar physical layout).
+    order in the file may differ from schema order.  Every malformed
+    row or cell raises :class:`SchemaError` naming ``path:line``, and
+    a cell error names its column too.
     """
     path = Path(path)
-    table: Table = (
-        ColumnarTable(schema, block_rows=block_rows) if columnar else Table(schema)
-    )
+    table = Table(schema)
     with path.open("r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -93,7 +85,15 @@ def read_csv(
                     f"{path}:{line_number}: expected {len(header)} cells, "
                     f"got {len(cells)}"
                 )
-            parsed = [parsers[i](cells[i]) for i in range(len(cells))]
+            parsed = []
+            for name, parse, cell in zip(header, parsers, cells):
+                try:
+                    parsed.append(parse(cell))
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}:{line_number}: cannot parse numeric cell "
+                        f"{cell!r} in column {name!r}"
+                    ) from None
             table.insert([parsed[i] for i in reorder])
     return table
 

@@ -17,39 +17,29 @@ materialises a candidate list just to compare sizes:
    rows that survive, in ascending row-id order.
 
 When no predicate is indexable the executor falls back to a full scan.
-On a :class:`~repro.db.table.ColumnarTable` both paths are vectorized:
-full scans evaluate one bitmask per conjunct per block (after zone maps
-prune blocks that provably hold no match), and index candidate lists
-are regrouped into per-block runs so residual predicates can prune and
-verify block-at-a-time.  The vectorized layer is exact by construction
-(:mod:`repro.db.vectorized`); whenever a query cannot be reproduced
-bit-identically it falls back to the per-row path, so results — rows,
-order, truncation — never depend on the storage engine.  Nor do they
-depend on the plan: every index is exact for the predicates it serves,
-so an intersected predicate and a verified one select the same rows.
+Results — rows, order, truncation — never depend on the plan: every
+index is exact for the predicates it serves, so an intersected
+predicate and a verified one select the same rows.
 
 An :class:`ExecutionStats` record reports how much work each query did —
 the efficiency experiments (paper Figs 6–7) count extracted tuples
 through this channel — and, when observability is enabled, the same
 work lands in the shared metrics registry (probe latency histogram,
-rows scanned vs returned, blocks pruned, postings intersected,
-truncations).  Accounting is honest: a zone-map-pruned block
-contributes to ``blocks_pruned`` and *nothing* to ``rows_examined``,
-because its values were never touched; likewise a row an intersection
-discards is never examined.
+rows scanned vs returned, postings intersected, truncations).
+Accounting is honest: a row an intersection discards is never
+examined, so it never counts in ``rows_examined``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
-from repro.db.index import HashIndex, SortedIndex, block_spans
+from repro.db.index import HashIndex, SortedIndex
 from repro.db.predicates import Eq, IsIn, Predicate
 from repro.db.query import SelectionQuery
-from repro.db.table import ColumnarTable, Table
-from repro.db.vectorized import CompiledQuery, compile_query
+from repro.db.table import Table
 from repro.obs.runtime import OBS
 
 __all__ = ["ExecutionStats", "QueryResult", "Executor"]
@@ -61,8 +51,6 @@ class ExecutionStats:
 
     ``rows_examined`` counts rows whose values were actually evaluated
     — on an index plan, the rows left after posting intersection;
-    ``blocks_pruned`` counts blocks zone maps skipped wholesale (their
-    rows are deliberately *not* part of ``rows_examined``);
     ``postings_intersected`` counts predicates answered by intersecting
     index postings into the driver's candidates rather than by
     verifying rows.
@@ -73,8 +61,6 @@ class ExecutionStats:
     rows_returned: int = 0
     full_scans: int = 0
     index_lookups: int = 0
-    blocks_scanned: int = 0
-    blocks_pruned: int = 0
     postings_intersected: int = 0
 
     def merge(self, other: "ExecutionStats") -> None:
@@ -83,8 +69,6 @@ class ExecutionStats:
         self.rows_returned += other.rows_returned
         self.full_scans += other.full_scans
         self.index_lookups += other.index_lookups
-        self.blocks_scanned += other.blocks_scanned
-        self.blocks_pruned += other.blocks_pruned
         self.postings_intersected += other.postings_intersected
 
     def snapshot(self) -> "ExecutionStats":
@@ -99,8 +83,6 @@ class ExecutionStats:
             rows_returned=self.rows_returned - since.rows_returned,
             full_scans=self.full_scans - since.full_scans,
             index_lookups=self.index_lookups - since.index_lookups,
-            blocks_scanned=self.blocks_scanned - since.blocks_scanned,
-            blocks_pruned=self.blocks_pruned - since.blocks_pruned,
             postings_intersected=(
                 self.postings_intersected - since.postings_intersected
             ),
@@ -212,12 +194,6 @@ class Executor:
             return sorted_index
         return None
 
-    def _compile(self, query: SelectionQuery) -> CompiledQuery | None:
-        """Vectorized form of ``query``, when exactly reproducible."""
-        if not isinstance(self.table, ColumnarTable):
-            return None
-        return compile_query(query, self.table.column_store)
-
     # -- execution ------------------------------------------------------------
 
     def execute(
@@ -246,13 +222,11 @@ class Executor:
         started = time.perf_counter() if observing else 0.0
         self.stats.queries_executed += 1
         plan = self._plan(query)
-        compiled = self._compile(plan.residual)
 
         matched_ids: list[int] = []
         skipped = 0
         truncated = False
         examined = 0
-        pruned = 0
         schema = self.table.schema
 
         def consume(row_id: int) -> bool:
@@ -269,27 +243,19 @@ class Executor:
 
         if plan.candidates is None:
             self.stats.full_scans += 1
-            if compiled is not None:
-                examined, pruned = self._scan_blocks(compiled, consume)
-            else:
-                for row_id, row in enumerate(self.table):
-                    examined += 1
-                    if query.matches(row, schema) and consume(row_id):
-                        break
+            for row_id, row in enumerate(self.table):
+                examined += 1
+                if query.matches(row, schema) and consume(row_id):
+                    break
         else:
             self.stats.index_lookups += 1
             self.stats.postings_intersected += plan.intersected
-            if compiled is not None:
-                examined, pruned = self._verify_candidates(
-                    compiled, plan.candidates, consume
-                )
-            else:
-                residual = plan.residual
-                for row_id in plan.candidates:
-                    examined += 1
-                    row = self.table.row(row_id)
-                    if residual.matches(row, schema) and consume(row_id):
-                        break
+            residual = plan.residual
+            for row_id in plan.candidates:
+                examined += 1
+                row = self.table.row(row_id)
+                if residual.matches(row, schema) and consume(row_id):
+                    break
 
         self.stats.rows_examined += examined
         rows = tuple(self.table.row(row_id) for row_id in matched_ids)
@@ -301,7 +267,6 @@ class Executor:
                 examined=examined,
                 returned=len(rows),
                 truncated=truncated,
-                pruned=pruned,
                 intersected=plan.intersected,
             )
         return QueryResult(
@@ -325,40 +290,22 @@ class Executor:
         started = time.perf_counter() if observing else 0.0
         self.stats.queries_executed += 1
         plan = self._plan(query)
-        compiled = self._compile(plan.residual)
         schema = self.table.schema
         matches = 0
         examined = 0
-        pruned = 0
 
         if plan.candidates is None:
             self.stats.full_scans += 1
-            if compiled is not None:
-                store = compiled.store
-                scanned = 0
-                for block in range(store.n_blocks()):
-                    if compiled.prune_block(block):
-                        pruned += 1
-                        continue
-                    scanned += 1
-                    start, stop = store.block_bounds(block)
-                    examined += stop - start
-                    matches += compiled.block_match_count(start, stop)
-                self.stats.blocks_scanned += scanned
-                self.stats.blocks_pruned += pruned
-            else:
-                for row in self.table:
-                    examined += 1
-                    if query.matches(row, schema):
-                        matches += 1
+            for row in self.table:
+                examined += 1
+                if query.matches(row, schema):
+                    matches += 1
         else:
             self.stats.index_lookups += 1
             self.stats.postings_intersected += plan.intersected
             examined = len(plan.candidates)
             if not plan.residual.predicates:
                 matches = examined
-            elif compiled is not None:
-                matches = sum(map(compiled.matches_at, plan.candidates))
             else:
                 residual = plan.residual
                 for row_id in plan.candidates:
@@ -373,81 +320,9 @@ class Executor:
                 examined=examined,
                 returned=0,
                 truncated=False,
-                pruned=pruned,
                 intersected=plan.intersected,
             )
         return matches
-
-    # -- vectorized paths ------------------------------------------------------
-
-    def _scan_blocks(
-        self, compiled: CompiledQuery, consume: "Callable[[int], bool]"
-    ) -> tuple[int, int]:
-        """Full scan, block-at-a-time: zone-prune, then mask, then page.
-
-        Returns ``(rows_examined, blocks_pruned)``.  Matches surface in
-        ascending row-id order (blocks ascend, masks are positional), so
-        paging semantics are identical to the per-row scan.  On early
-        exit the whole current block still counts as examined — its mask
-        was fully evaluated.
-        """
-        examined = 0
-        pruned = 0
-        scanned = 0
-        store = compiled.store
-        done = False
-        for block in range(store.n_blocks()):
-            if compiled.prune_block(block):
-                pruned += 1
-                continue
-            scanned += 1
-            start, stop = store.block_bounds(block)
-            examined += stop - start
-            for row_id in compiled.block_matches(start, stop):
-                if consume(row_id):
-                    done = True
-                    break
-            if done:
-                break
-        self.stats.blocks_scanned += scanned
-        self.stats.blocks_pruned += pruned
-        return examined, pruned
-
-    def _verify_candidates(
-        self,
-        residual: CompiledQuery,
-        ordered: list[int],
-        consume: "Callable[[int], bool]",
-    ) -> tuple[int, int]:
-        """Index path: residual-verify candidates, one block run at a time.
-
-        The sorted candidate list is regrouped into per-block runs
-        (:func:`~repro.db.index.block_spans`); residual zone maps can
-        then discard a whole run before any candidate row is touched.
-        Returns ``(rows_examined, blocks_pruned)`` — pruned runs add
-        nothing to ``rows_examined``.
-        """
-        examined = 0
-        pruned = 0
-        scanned = 0
-        prunable = bool(residual.predicates)
-        done = False
-        for block, start, stop in block_spans(ordered, residual.store.block_rows):
-            if prunable and residual.prune_block(block):
-                pruned += 1
-                continue
-            scanned += 1
-            for index in range(start, stop):
-                row_id = ordered[index]
-                examined += 1
-                if residual.matches_at(row_id) and consume(row_id):
-                    done = True
-                    break
-            if done:
-                break
-        self.stats.blocks_scanned += scanned
-        self.stats.blocks_pruned += pruned
-        return examined, pruned
 
     # -- observability --------------------------------------------------------
 
@@ -458,7 +333,6 @@ class Executor:
         examined: int,
         returned: int,
         truncated: bool,
-        pruned: int = 0,
         intersected: int = 0,
     ) -> None:
         registry = OBS.registry
@@ -471,11 +345,6 @@ class Executor:
             "repro_db_rows_examined_total",
             "Rows touched while evaluating selection probes.",
         ).inc(examined)
-        if pruned:
-            registry.counter(
-                "repro_db_blocks_pruned_total",
-                "Blocks zone maps skipped before any value was touched.",
-            ).inc(pruned)
         if intersected:
             registry.counter(
                 "repro_db_postings_intersected_total",

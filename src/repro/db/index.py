@@ -10,7 +10,11 @@ Two index families cover the predicate classes the substrate supports:
 Both indexes map a single attribute.  They are maintained eagerly by
 :class:`repro.db.table.Table`: one ``add`` per inserted row, or one
 ``add_many`` per column of a bulk ``extend``.  Null values are excluded
-from indexes (no predicate matches null), matching SQL semantics.
+from indexes (no predicate matches null), matching SQL semantics, and
+the sorted index excludes NaN too, which has no place in an order.
+Neither index serves a predicate whose value or bound is None or NaN:
+the executor verifies those row by row, so an index plan and a scan
+always select the same rows.
 
 Both also expose the three access methods the executor's planner
 needs: ``size`` (the exact candidate count, computed without
@@ -37,29 +41,17 @@ from repro.db.predicates import (
     Predicate,
 )
 
-__all__ = ["HashIndex", "SortedIndex", "block_spans"]
+__all__ = ["HashIndex", "SortedIndex"]
 
 
-def block_spans(
-    sorted_row_ids: list[int], block_rows: int
-) -> Iterator[tuple[int, int, int]]:
-    """Group ascending row ids into per-block runs.
+def _indexable(value: object) -> bool:
+    """True unless ``value`` is None or NaN (only NaN has ``v != v``).
 
-    Yields ``(block, start, stop)`` triples where
-    ``sorted_row_ids[start:stop]`` are exactly the ids falling in
-    ``block`` (ids ``[block * block_rows, (block + 1) * block_rows)``).
-    This is how index candidate lists are retargeted onto the columnar
-    engine's blocks: the executor zone-prunes one run at a time before
-    verifying residual predicates per candidate.
+    No index answers for either: nulls are not indexed, and NaN equals
+    nothing and orders against nothing, so a bisection or bucket lookup
+    on it would disagree with the row check.
     """
-    n = len(sorted_row_ids)
-    start = 0
-    while start < n:
-        block = sorted_row_ids[start] // block_rows
-        limit = (block + 1) * block_rows
-        stop = bisect.bisect_left(sorted_row_ids, limit, lo=start)
-        yield (block, start, stop)
-        start = stop
+    return value is not None and value == value
 
 
 class HashIndex:
@@ -128,14 +120,16 @@ class HashIndex:
 
         Null values are not indexed, so predicates a null cell can
         satisfy — ``Eq(None)``, ``IsIn`` with a None member — must go
-        to the scan path or their matches would silently vanish.
+        to the scan path or their matches would silently vanish.  A NaN
+        value goes there too: a bucket lookup may find a NaN key by
+        identity, where the row check's ``==`` never matches it.
         """
         if predicate.attribute != self.attribute:
             return False
         if isinstance(predicate, Eq):
-            return predicate.value is not None
+            return _indexable(predicate.value)
         if isinstance(predicate, IsIn):
-            return None not in predicate.values
+            return all(map(_indexable, predicate.values))
         return False
 
     def candidates(self, predicate: Predicate) -> list[int]:
@@ -200,7 +194,7 @@ class SortedIndex:
         return len(self._keys)
 
     def add(self, value: object, row_id: int) -> None:
-        if value is None:
+        if not _indexable(value):
             return
         self._pending.append((value, row_id))
         self._dirty = True
@@ -209,7 +203,7 @@ class SortedIndex:
         """:meth:`add` each ``(value, row id)`` pair, in order."""
         pending = self._pending
         before = len(pending)
-        pending.extend(pair for pair in zip(values, row_ids) if pair[0] is not None)
+        pending.extend(pair for pair in zip(values, row_ids) if _indexable(pair[0]))
         if len(pending) > before:
             self._dirty = True
 
@@ -275,15 +269,20 @@ class SortedIndex:
         indexed (``Eq(None)`` matches rows the index cannot see), and a
         None range bound makes the scan path raise ``TypeError`` — the
         index must not silently answer what the engine would refuse.
-        (``Between`` rejects None bounds at construction.)
+        (``Between`` rejects None bounds at construction.)  A NaN value
+        or bound, at either end of ``Between`` too, disqualifies it as
+        well: every comparison with NaN is false, so the row check
+        matches nothing, while a bisection for NaN lands anywhere.
         """
         if predicate.attribute != self.attribute:
             return False
         if isinstance(predicate, Eq):
-            return predicate.value is not None
+            return _indexable(predicate.value)
         if isinstance(predicate, (Lt, Le, Gt, Ge)):
-            return predicate.bound is not None
-        return isinstance(predicate, Between)
+            return _indexable(predicate.bound)
+        if isinstance(predicate, Between):
+            return _indexable(predicate.low) and _indexable(predicate.high)
+        return False
 
     def candidates(self, predicate: Predicate) -> list[int]:
         """Row ids matching a range (or equality) predicate exactly.

@@ -191,22 +191,6 @@ class RelationSchema:
     def numeric_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes if a.is_numeric)
 
-    @property
-    def categorical_positions(self) -> tuple[int, ...]:
-        """Tuple positions of the categorical attributes (schema order).
-
-        The columnar store sizes its per-kind column arrays off these,
-        so the kind split is computed once per schema, not per row.
-        """
-        return tuple(
-            i for i, a in enumerate(self.attributes) if a.is_categorical
-        )
-
-    @property
-    def numeric_positions(self) -> tuple[int, ...]:
-        """Tuple positions of the numeric attributes (schema order)."""
-        return tuple(i for i, a in enumerate(self.attributes) if a.is_numeric)
-
     # -- row handling ---------------------------------------------------------
 
     def validate_row(self, row: Sequence[object]) -> tuple[object, ...]:

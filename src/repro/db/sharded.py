@@ -55,7 +55,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Protocol, Sequence
 
-from repro.db.columns import DEFAULT_BLOCK_ROWS
 from repro.db.errors import (
     DatabaseError,
     ProbeLimitExceededError,
@@ -66,7 +65,7 @@ from repro.db.faults import FaultPolicy
 from repro.db.probe_cache import ProbeCache
 from repro.db.query import SelectionQuery
 from repro.db.schema import RelationSchema
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 from repro.db.webdb import (
     AccountingWindow,
     AutonomousWebDatabase,
@@ -167,9 +166,7 @@ class ShardedWebDatabase:
         cls,
         table: Table,
         n_shards: int,
-        columnar: bool = True,
         auto_index: bool = True,
-        block_rows: int = DEFAULT_BLOCK_ROWS,
         result_cap: int | None = None,
         probe_budget: int | None = None,
         probe_cache_capacity: int | None = None,
@@ -179,16 +176,12 @@ class ShardedWebDatabase:
 
         Row ``r`` goes to shard :func:`shard_of`\\ ``(r, n_shards)``;
         each shard remembers the global row ids it holds, in order, so
-        gathered results can be mapped back.  Shards default to the
-        columnar engine (``columnar=False`` keeps row tuples).
+        gathered results can be mapped back.
         """
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
-        shard_tables: list[Table] = [
-            ColumnarTable(table.schema, auto_index=auto_index, block_rows=block_rows)
-            if columnar
-            else Table(table.schema, auto_index=auto_index)
-            for _ in range(n_shards)
+        shard_tables = [
+            Table(table.schema, auto_index=auto_index) for _ in range(n_shards)
         ]
         shard_rows: list[list[tuple]] = [[] for _ in range(n_shards)]
         global_ids: list[list[int]] = [[] for _ in range(n_shards)]

@@ -1,21 +1,10 @@
 """In-memory table: row storage plus eager index maintenance.
 
-Two storage engines share the :class:`Table` interface:
-
-* :class:`Table` stores rows as positional tuples — the seed engine,
-  simple and allocation-friendly for 100k-tuple scans;
-* :class:`ColumnarTable` decomposes rows into typed per-attribute
-  columns (:mod:`repro.db.columns`) with dictionary-encoded
-  categoricals, block-level zone maps and numpy shadow arrays, which
-  the executor's vectorized path evaluates block-at-a-time.
-
-Both engines are append-only, resolve attribute names through the
-:class:`RelationSchema`, and by default maintain a :class:`HashIndex`
-per categorical attribute and a :class:`SortedIndex` per numeric
-attribute — the combination the AIMQ probing and relaxation workloads
-need.  Every read is served through the small storage-primitive set
-(``__len__``/``__iter__``/``row``/``_append_storage``/``_extend_storage``),
-so results are bit-identical across engines by construction.
+A :class:`Table` stores rows as positional tuples in an append-only
+list, resolves attribute names through its :class:`RelationSchema`,
+and by default maintains a :class:`HashIndex` per categorical
+attribute and a :class:`SortedIndex` per numeric attribute — the
+combination the AIMQ probing and relaxation workloads need.
 """
 
 from __future__ import annotations
@@ -23,12 +12,11 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.db.columns import DEFAULT_BLOCK_ROWS, ColumnStore
 from repro.db.errors import UnknownAttributeError
 from repro.db.index import HashIndex, SortedIndex
 from repro.db.schema import RelationSchema
 
-__all__ = ["Table", "ColumnarTable", "DEFAULT_BLOCK_ROWS"]
+__all__ = ["Table"]
 
 Row = tuple
 
@@ -47,7 +35,7 @@ class Table:
 
     def __init__(self, schema: RelationSchema, auto_index: bool = True) -> None:
         self.schema = schema
-        self._init_storage()
+        self._rows: list[Row] = []
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
         if auto_index:
@@ -56,29 +44,6 @@ class Table:
                     self.create_hash_index(attribute.name)
                 else:
                     self.create_sorted_index(attribute.name)
-
-    # -- storage primitives ----------------------------------------------------
-    #
-    # Subclasses swap the storage engine by overriding these four plus
-    # ``row``/``__len__``/``__iter__``; everything else is written
-    # against them.
-
-    def _init_storage(self) -> None:
-        self._rows: list[Row] = []
-
-    def _append_storage(self, validated: Row) -> int:
-        """Store one already-validated row; return its row id."""
-        row_id = len(self._rows)
-        self._rows.append(validated)
-        return row_id
-
-    def _extend_storage(self, validated: list[Row]) -> None:
-        """Store already-validated rows, in order, after the last one."""
-        self._rows.extend(validated)
-
-    def _derive(self) -> "Table":
-        """Empty table of the same engine/schema (for sample/filter)."""
-        return type(self)(self.schema)
 
     # -- index management -----------------------------------------------------
 
@@ -109,7 +74,8 @@ class Table:
     def insert(self, row: Sequence[object]) -> int:
         """Validate and append one row; return its row id."""
         validated = self.schema.validate_row(row)
-        row_id = self._append_storage(validated)
+        row_id = len(self._rows)
+        self._rows.append(validated)
         for attribute, index in self._hash_indexes.items():
             index.add(validated[self.schema.position(attribute)], row_id)
         for attribute, sorted_index in self._sorted_indexes.items():
@@ -130,8 +96,8 @@ class Table:
         would have added them.
         """
         validated = self.schema.validate_rows(rows)
-        start = len(self)
-        self._extend_storage(validated)
+        start = len(self._rows)
+        self._rows.extend(validated)
         row_ids = list(range(start, start + len(validated)))
         for attribute, index in self._hash_indexes.items():
             position = self.schema.position(attribute)
@@ -197,7 +163,11 @@ class Table:
         return counts
 
     def numeric_extent(self, attribute: str) -> tuple[float, float] | None:
-        """(min, max) of a numeric attribute, or None when empty/all-null."""
+        """(min, max) of a numeric attribute, or None when empty/all-null.
+
+        NaN cells are skipped like nulls: they are unordered, so they
+        bound nothing.
+        """
         if attribute in self._sorted_indexes:
             index = self._sorted_indexes[attribute]
             low, high = index.min_value(), index.max_value()
@@ -206,7 +176,8 @@ class Table:
             return (low, high)  # type: ignore[return-value]
         if self.schema.attribute(attribute).is_categorical:
             raise UnknownAttributeError(attribute, self.schema.name)
-        values = [v for v in self.column(attribute) if v is not None]
+        # ``v == v`` is False only for NaN.
+        values = [v for v in self.column(attribute) if v is not None and v == v]
         if not values:
             return None
         return (min(values), max(values))  # type: ignore[arg-type]
@@ -215,116 +186,16 @@ class Table:
 
     def sample(self, row_ids: Iterable[int]) -> "Table":
         """New table holding copies of the given rows (same schema)."""
-        derived = self._derive()
+        derived = Table(self.schema)
         derived.extend(map(self.row, row_ids))
         return derived
 
     def filter(self, keep: Callable[[Row], bool]) -> "Table":
         """New table with rows passing ``keep`` (same schema)."""
-        derived = self._derive()
+        derived = Table(self.schema)
         derived.extend(row for row in self if keep(row))
         return derived
 
     def to_mappings(self) -> list[dict[str, object]]:
         """All rows rendered as dicts (test/debug convenience)."""
         return [self.schema.row_to_mapping(row) for row in self]
-
-
-class ColumnarTable(Table):
-    """Table backed by a :class:`~repro.db.columns.ColumnStore`.
-
-    Same append-only interface and bit-identical read results; the
-    difference is purely physical — typed columns, dictionary-encoded
-    categoricals, and block zone maps the executor's vectorized path
-    exploits.  ``block_rows``/``zone_maps`` tune that layout.
-    """
-
-    def __init__(
-        self,
-        schema: RelationSchema,
-        auto_index: bool = True,
-        block_rows: int = DEFAULT_BLOCK_ROWS,
-        zone_maps: bool = True,
-    ) -> None:
-        self._block_rows = block_rows
-        self._zone_maps_enabled = zone_maps
-        super().__init__(schema, auto_index=auto_index)
-
-    @classmethod
-    def from_table(
-        cls,
-        table: Table,
-        auto_index: bool = True,
-        block_rows: int = DEFAULT_BLOCK_ROWS,
-        zone_maps: bool = True,
-    ) -> "ColumnarTable":
-        """Re-encode an existing table columnar (same rows, same ids)."""
-        derived = cls(
-            table.schema,
-            auto_index=auto_index,
-            block_rows=block_rows,
-            zone_maps=zone_maps,
-        )
-        derived.extend(table)
-        return derived
-
-    # -- storage primitives ----------------------------------------------------
-
-    def _init_storage(self) -> None:
-        self._store = ColumnStore(
-            self.schema,
-            block_rows=self._block_rows,
-            zone_maps=self._zone_maps_enabled,
-        )
-
-    def _append_storage(self, validated: Row) -> int:
-        return self._store.append(validated)
-
-    def _extend_storage(self, validated: list[Row]) -> None:
-        append = self._store.append
-        for row in validated:
-            append(row)
-
-    def _derive(self) -> "Table":
-        return ColumnarTable(
-            self.schema,
-            block_rows=self._block_rows,
-            zone_maps=self._zone_maps_enabled,
-        )
-
-    @property
-    def column_store(self) -> ColumnStore:
-        """The underlying columnar storage (the executor's fast path)."""
-        return self._store
-
-    # -- reads ----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __iter__(self) -> Iterator[Row]:
-        return self._store.iter_rows()
-
-    def row(self, row_id: int) -> Row:
-        return self._store.row(row_id)
-
-    def column(self, attribute: str) -> list[object]:
-        """Materialise one column straight from columnar storage."""
-        return self._store.column_values(attribute)
-
-    def distinct_values(self, attribute: str) -> list[object]:
-        """Distinct non-null values, dictionary-served for categoricals.
-
-        The dictionary is built in first-appearance order, which is the
-        same scan order the base implementation (and the hash index)
-        reports — callers observe no difference.
-        """
-        if self.schema.attribute(attribute).is_categorical:
-            return list(self._store.distinct_values(attribute))
-        return super().distinct_values(attribute)
-
-    def value_counts(self, attribute: str) -> dict[object, int]:
-        """Histogram of non-null values, code-counted for categoricals."""
-        if self.schema.attribute(attribute).is_categorical:
-            return dict(self._store.value_counts(attribute))
-        return super().value_counts(attribute)

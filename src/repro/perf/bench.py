@@ -19,22 +19,6 @@ one overhead guard for the resilience layer:
     *guard*, not an optimisation: both paths must produce identical
     answers and the guarded path must stay within the regression
     tolerance — i.e. resilience on the happy path is close to free.
-``columnar_scan``
-    The same CarDB probe workload (paged selections + counts over
-    every operator) against the row-dict engine vs the columnar engine
-    (typed arrays + vectorized predicate masks).  Equivalence demands
-    identical pages, counts *and* an identical ProbeLog window.
-``zone_map_prune``
-    A Price-clustered columnar source probed with narrow Price windows,
-    zone maps off vs on.  Equivalence additionally demands that the
-    fast path actually pruned blocks (``blocks_pruned > 0``) — pruning
-    that never fires is a regression even if the timings happen to tie.
-``sharded_scatter``
-    The same probe workload against one row-dict source vs a
-    scatter-gather facade over hash-partitioned columnar shards.
-    Equivalence demands identical pages/counts and that the facade's
-    logical ProbeLog window matches the unsharded facade's exactly
-    (docs/PERFORMANCE.md §8 roll-up rules).
 ``obs_overhead``
     Repeated answering with observability fully off (the reference)
     vs the wide-event log alone vs events *and* tracing together.
@@ -73,11 +57,7 @@ from repro.core.config import AIMQSettings
 from repro.core.pipeline import AIMQModel, build_model
 from repro.core.query import ImpreciseQuery
 from repro.core.results import RankedAnswer
-from repro.datasets.cardb import cardb_webdb, generate_cardb
-from repro.db.predicates import Between, Eq, Ge, Gt, IsIn, Le, Lt, Ne
-from repro.db.query import SelectionQuery
-from repro.db.sharded import ShardedWebDatabase
-from repro.db.table import ColumnarTable
+from repro.datasets.cardb import cardb_webdb
 from repro.db.webdb import AutonomousWebDatabase
 from repro.obs.runtime import OBS
 from repro.resilience import ResiliencePolicy, ResilientWebDatabase
@@ -107,14 +87,6 @@ class BenchScale:
     top_k: int
     score_rows: int  # rows scored per similarity-memo repetition
     score_repeats: int
-    # Columnar data-plane scenarios (defaults keep older scale
-    # constructions valid).
-    scan_rows: int = 20_000  # source size for the scan scenarios
-    scan_repeats: int = 1  # passes over the scan query set
-    shards: int = 4  # shard count for sharded_scatter
-    # zone_map_prune needs a larger source: its gap is scan work saved
-    # per probe, which must dominate the per-probe facade overhead.
-    zone_rows: int = 100_000
     # serve_load (registered by repro.serve.bench): concurrent clients
     # against the answering server, with the shared probe cache as the
     # fast path.
@@ -147,28 +119,6 @@ SCALES: dict[str, BenchScale] = {
         top_k=10,
         score_rows=1_200,
         score_repeats=60,
-        scan_rows=100_000,
-        scan_repeats=1,
-        shards=4,
-        zone_rows=250_000,
-    ),
-    # The scheduled/labelled CI bench-scale job: 1M-row sources for the
-    # columnar data-plane scenarios (run with ``--only columnar_scan
-    # --only zone_map_prune --only sharded_scatter``); the engine-level
-    # knobs stay at smoke sizes so an accidental full run terminates.
-    "scale1m": BenchScale(
-        rows=1_500,
-        sample=400,
-        repeats=3,
-        queries=2,
-        candidates=30_000,
-        top_k=10,
-        score_rows=400,
-        score_repeats=30,
-        scan_rows=1_000_000,
-        scan_repeats=1,
-        shards=8,
-        zone_rows=1_000_000,
     ),
 }
 
@@ -486,195 +436,12 @@ def bench_obs_overhead(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
     )
 
 
-# -- columnar data-plane scenarios --------------------------------------------
-
-#: Paged-probe workload over every operator the facade supports.  The
-#: values track the CarDB generator's distributions so each query has a
-#: materially different selectivity.
-_SCAN_QUERIES: tuple[SelectionQuery, ...] = (
-    SelectionQuery((Eq("Make", "Honda"),)),
-    SelectionQuery((Ne("Color", "Red"),)),
-    SelectionQuery((IsIn("Location", ("Chicago", "Dallas", "Seattle")),)),
-    SelectionQuery((Between("Year", "1995", "2000"),)),
-    SelectionQuery((Lt("Price", 4_000),)),
-    SelectionQuery((Ge("Price", 20_000),)),
-    SelectionQuery((Between("Price", 9_000, 12_000),)),
-    SelectionQuery((Le("Mileage", 30_000),)),
-    SelectionQuery((Gt("Mileage", 120_000),)),
-    SelectionQuery((Eq("Make", "Toyota"), Ge("Price", 8_000))),
-)
-
-_SCAN_PAGE = 100  # form-style page size for the scan workloads
-
-
-def _scan_workload(
-    scale: BenchScale, db
-) -> list[tuple[tuple[int, ...], bool, int]]:
-    """One paged selection + one count per query, per repeat.
-
-    Counts do the full-scan work (every matching row is visited with no
-    materialisation); the paged selection keeps the output — and hence
-    the equivalence comparison — memory-bounded at any scale.
-    """
-    outputs: list[tuple[tuple[int, ...], bool, int]] = []
-    for _ in range(scale.scan_repeats):
-        for query in _SCAN_QUERIES:
-            page = db.query(query, limit=_SCAN_PAGE)
-            outputs.append((page.row_ids, page.truncated, db.count(query)))
-    return outputs
-
-
-def bench_columnar_scan(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    row_table = generate_cardb(scale.scan_rows, seed=23, auto_index=False)
-    columnar = ColumnarTable.from_table(row_table, auto_index=False)
-    slow_db = AutonomousWebDatabase(row_table)
-    fast_db = AutonomousWebDatabase(columnar)
-    # Warm both paths once untimed: the columnar engine builds its zone
-    # maps and typed shadow arrays lazily on first touch, and the
-    # scenario measures steady-state scanning, not one-time encoding.
-    _scan_workload(scale, slow_db)
-    _scan_workload(scale, fast_db)
-
-    with slow_db.accounting_scope() as slow_window:
-        slow_out, slow_seconds = _timed(lambda: _scan_workload(scale, slow_db))
-    with fast_db.accounting_scope() as fast_window:
-        fast_out, fast_seconds = _timed(lambda: _scan_workload(scale, fast_db))
-    return ScenarioResult(
-        name="columnar_scan",
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=(
-            slow_out == fast_out and slow_window.log == fast_window.log
-        ),
-        details={
-            "rows": scale.scan_rows,
-            "queries": len(_SCAN_QUERIES),
-            "repeats": scale.scan_repeats,
-            "page_limit": _SCAN_PAGE,
-            "rows_examined_row": slow_window.execution_stats.rows_examined,
-            "rows_examined_columnar": fast_window.execution_stats.rows_examined,
-            "blocks_scanned": fast_window.execution_stats.blocks_scanned,
-            "blocks_pruned": fast_window.execution_stats.blocks_pruned,
-        },
-    )
-
-
-def bench_zone_map_prune(scale: BenchScale, fixture: _Fixture) -> ScenarioResult:
-    # Price-clustered layout: listings sorted by price give every 4k-row
-    # block a tight [min, max] Price interval, which is exactly the
-    # regime zone maps exploit.
-    source = generate_cardb(scale.zone_rows, seed=23, auto_index=False)
-    price = source.schema.position("Price")
-    ordered = sorted(source, key=lambda row: (row[price] is None, row[price]))
-    unpruned = ColumnarTable(source.schema, auto_index=False, zone_maps=False)
-    pruned = ColumnarTable(source.schema, auto_index=False, zone_maps=True)
-    for row in ordered:
-        unpruned.insert(row)
-        pruned.insert(row)
-    slow_db = AutonomousWebDatabase(unpruned)
-    fast_db = AutonomousWebDatabase(pruned)
-    queries = (
-        SelectionQuery((Between("Price", 5_000, 6_000),)),
-        SelectionQuery((Ge("Price", 40_000),)),
-        SelectionQuery((Lt("Price", 2_000),)),
-        SelectionQuery((Between("Price", 15_000, 15_500),)),
-        SelectionQuery((Between("Price", 9_000, 9_400), Eq("Make", "Honda"))),
-    )
-
-    # Timed legs run count probes only: a count is pure scan work (no
-    # page materialisation), so the ratio measures pruning rather than
-    # per-probe facade overhead.  Page equivalence is checked untimed.
-    repeats = scale.scan_repeats * 10
-
-    def run(db) -> list[int]:
-        counts: list[int] = []
-        for _ in range(repeats):
-            counts.extend(db.count(query) for query in queries)
-        return counts
-
-    def pages(db) -> list[tuple[tuple[int, ...], bool]]:
-        return [
-            (page.row_ids, page.truncated)
-            for page in (db.query(query, limit=_SCAN_PAGE) for query in queries)
-        ]
-
-    pages_equal = pages(slow_db) == pages(fast_db)  # also warms both paths
-    run(slow_db)
-    run(fast_db)
-    with slow_db.accounting_scope() as slow_window:
-        slow_out, slow_seconds = _timed(lambda: run(slow_db))
-    with fast_db.accounting_scope() as fast_window:
-        fast_out, fast_seconds = _timed(lambda: run(fast_db))
-    blocks_pruned = fast_window.execution_stats.blocks_pruned
-    return ScenarioResult(
-        name="zone_map_prune",
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=(
-            slow_out == fast_out
-            and pages_equal
-            and slow_window.log == fast_window.log
-            and blocks_pruned > 0
-        ),
-        details={
-            "rows": scale.zone_rows,
-            "queries": len(queries),
-            "repeats": repeats,
-            "rows_examined_unpruned": slow_window.execution_stats.rows_examined,
-            "rows_examined_pruned": fast_window.execution_stats.rows_examined,
-            "blocks_scanned": fast_window.execution_stats.blocks_scanned,
-            "blocks_pruned": blocks_pruned,
-        },
-    )
-
-
-def bench_sharded_scatter(
-    scale: BenchScale, fixture: _Fixture
-) -> ScenarioResult:
-    row_table = generate_cardb(scale.scan_rows, seed=23, auto_index=False)
-    slow_db = AutonomousWebDatabase(row_table)
-    fast_db = ShardedWebDatabase.partition(
-        row_table, scale.shards, columnar=True, auto_index=False
-    )
-    _scan_workload(scale, slow_db)  # warm, as in columnar_scan
-    _scan_workload(scale, fast_db)
-
-    with slow_db.accounting_scope() as slow_window:
-        slow_out, slow_seconds = _timed(lambda: _scan_workload(scale, slow_db))
-    with fast_db.accounting_scope() as fast_window:
-        fast_out, fast_seconds = _timed(lambda: _scan_workload(scale, fast_db))
-    shard_logs = fast_db.shard_probe_logs()
-    return ScenarioResult(
-        name="sharded_scatter",
-        slow_seconds=slow_seconds,
-        fast_seconds=fast_seconds,
-        equivalent=(
-            slow_out == fast_out and slow_window.log == fast_window.log
-        ),
-        details={
-            "rows": scale.scan_rows,
-            "shards": scale.shards,
-            "queries": len(_SCAN_QUERIES),
-            "repeats": scale.scan_repeats,
-            "page_limit": _SCAN_PAGE,
-            "logical_probes": fast_window.probes_issued,
-            "physical_probes": sum(log.probes_issued for log in shard_logs),
-            "rows_examined_row": slow_window.execution_stats.rows_examined,
-            "rows_examined_sharded": fast_window.execution_stats.rows_examined,
-            "blocks_pruned": fast_window.execution_stats.blocks_pruned,
-        },
-    )
-
-
 SCENARIOS: dict[str, Callable[[BenchScale, _Fixture], ScenarioResult]] = {
     "probe_cache": bench_probe_cache,
     "topk": bench_topk,
     "similarity_memo": bench_similarity_memo,
     "resilience_overhead": bench_resilience_overhead,
     "obs_overhead": bench_obs_overhead,
-    "columnar_scan": bench_columnar_scan,
-    "zone_map_prune": bench_zone_map_prune,
-    "sharded_scatter": bench_sharded_scatter,
 }
 
 
@@ -702,8 +469,8 @@ def run_bench(
     """Run the selected scenarios and return the report mapping.
 
     Each scenario's ``details`` gains a ``peak_rss_kb`` entry — the
-    process peak resident set after the scenario completed — so scale
-    runs double as memory-footprint measurements.
+    process peak resident set after the scenario completed — so every
+    run doubles as a memory-footprint measurement.
     """
     scale = SCALES[scale_name]
     names = list(SCENARIOS) if not only else [n for n in SCENARIOS if n in only]

@@ -138,15 +138,12 @@ def test_rep004_fabricate_good_fixture_is_clean_under_all_rules():
     assert run.findings == [], [f.render() for f in run.findings]
 
 
-def test_rep004_flags_columnar_internals():
-    run = run_rule("REP004", FIXTURES / "rep004_columnar_bad.py")
+def test_rep004_flags_sharded_internals():
+    run = run_rule("REP004", FIXTURES / "rep004_sharded_bad.py")
     messages = " ".join(f.message for f in run.findings)
-    assert "repro.db.columns" in messages
-    assert "repro.db.vectorized" in messages
-    for attr in ("_store", "_zone_maps", "_columns", "_shards", "_global_ids"):
+    for attr in ("_shards", "_global_ids"):
         assert f"({attr})" in messages
-    # Two forbidden imports plus five private-internal accesses.
-    assert len(run.findings) == 7
+    assert len(run.findings) == 2
 
 
 def test_rep004_flags_index_posting_internals():
@@ -157,8 +154,8 @@ def test_rep004_flags_index_posting_internals():
     assert len(run.findings) == 3
 
 
-def test_rep004_columnar_good_fixture_is_clean_under_all_rules():
-    run = LintEngine().run([FIXTURES / "rep004_columnar_good.py"])
+def test_rep004_sharded_good_fixture_is_clean_under_all_rules():
+    run = LintEngine().run([FIXTURES / "rep004_sharded_good.py"])
     assert run.findings == [], [f.render() for f in run.findings]
 
 

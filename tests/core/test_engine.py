@@ -69,6 +69,13 @@ class TestAnswer:
         with pytest.raises(QueryError):
             car_engine.answer(query)
 
+    def test_nan_binding_matches_nothing_on_an_indexed_source(self, car_engine):
+        # NaN equals no Price, so no index may return rows for it; the
+        # base query generalises to nothing, as on an unindexed table.
+        query = ImpreciseQuery.like("CarDB", Price=float("nan"))
+        with pytest.raises(QueryError, match="no generalisation"):
+            car_engine.answer(query)
+
     def test_answer_by_example(self, car_engine, car_table):
         example = car_table.schema.row_to_mapping(car_table.row(0))
         answers = car_engine.answer_by_example(example, k=5)

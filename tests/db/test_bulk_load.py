@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.db.errors import TypeMismatchError
 from repro.db.predicates import Eq
 from repro.db.schema import RelationSchema
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 
 SCHEMA = RelationSchema.build(
     "R", categorical=("A", "B"), numeric=("N",), order=("A", "N", "B")
@@ -99,7 +99,7 @@ def test_validate_rows_matches_validate_row(rows):
     assert repr(fast) == repr(slow)
 
 
-ENGINES = (Table, ColumnarTable)
+ENGINES = (Table,)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -65,6 +65,8 @@ class TestErrors:
 
     def test_unparseable_number(self, toy_schema, tmp_path):
         path = tmp_path / "nan.csv"
-        path.write_text("Make,Model,Price,Year\nFord,Focus,cheap,2001\n")
-        with pytest.raises(SchemaError):
+        path.write_text(
+            "Make,Model,Price,Year\nFord,Focus,7000,2001\nFord,Focus,cheap,2001\n"
+        )
+        with pytest.raises(SchemaError, match=r"nan\.csv:3: .*'cheap'.*'Price'"):
             read_csv(toy_schema, path)

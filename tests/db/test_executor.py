@@ -6,7 +6,7 @@ from repro.db.executor import Executor
 from repro.db.predicates import Between, Eq, Ge, IsIn, Lt, Ne
 from repro.db.query import SelectionQuery
 from repro.db.schema import RelationSchema
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 
 
 class TestExecution:
@@ -180,7 +180,7 @@ _GRID_ROWS = [
 ]
 
 
-@pytest.fixture(params=[Table, ColumnarTable], ids=["row", "columnar"])
+@pytest.fixture(params=[Table], ids=["row"])
 def grid_executor(request) -> Executor:
     table = request.param(_GRID_SCHEMA)
     table.extend(_GRID_ROWS)

@@ -38,6 +38,11 @@ class TestHashIndex:
         assert index.serves(IsIn("Make", ["Ford"]))
         assert not index.serves(Eq("Model", "x"))
         assert not index.serves(Lt("Make", "M"))
+        # A bucket lookup finds a NaN key by identity; ``==`` never does.
+        nan = float("nan")
+        index.add(nan, 4)
+        assert not index.serves(Eq("Make", nan))
+        assert not index.serves(IsIn("Make", ["Ford", nan]))
 
     def test_candidates(self):
         index = self.make()
@@ -103,7 +108,10 @@ class TestSortedIndex:
     def test_nulls_not_indexed(self):
         index = SortedIndex("P")
         index.add(None, 0)
-        assert len(index) == 0
+        index.add(float("nan"), 1)
+        index.add_many([None, float("nan"), 3], [2, 3, 4])
+        assert len(index) == 1
+        assert list(index.range()) == [4]
 
     def test_range_inclusive(self):
         index = self.make()
@@ -175,6 +183,18 @@ class TestSortedIndex:
         assert index.serves(Between("Price", 1, 2))
         assert not index.serves(Between("Other", 1, 2))
         assert not index.serves(IsIn("Price", [1]))
+        # Every comparison with NaN is false, so the row check decides.
+        nan = float("nan")
+        for predicate in (
+            Eq("Price", nan),
+            Lt("Price", nan),
+            Le("Price", nan),
+            Gt("Price", nan),
+            Ge("Price", nan),
+            Between("Price", nan, 40),
+            Between("Price", 20, nan),
+        ):
+            assert not index.serves(predicate)
 
     def test_candidates_wrong_predicate_type(self):
         with pytest.raises(TypeError):

@@ -65,6 +65,21 @@ class TestColumns:
     def test_numeric_extent_empty(self, toy_schema):
         assert Table(toy_schema).numeric_extent("Price") is None
 
+    @pytest.mark.parametrize("auto_index", [True, False])
+    def test_numeric_extent_skips_nan(self, toy_schema, auto_index):
+        table = Table(toy_schema, auto_index=auto_index)
+        table.extend(
+            [
+                ("Ford", "Focus", float("nan"), 2001),
+                ("Ford", "Focus", 7000, 2001),
+                ("Kia", "Rio", 5000.5, 2003),
+            ]
+        )
+        assert table.numeric_extent("Price") == (5000.5, 7000)
+        only_nan = Table(toy_schema, auto_index=auto_index)
+        only_nan.insert(("Ford", "Focus", float("nan"), 2001))
+        assert only_nan.numeric_extent("Price") is None
+
     def test_numeric_extent_categorical_raises(self, toy_table):
         with pytest.raises(UnknownAttributeError):
             toy_table.numeric_extent("Make")

@@ -25,7 +25,7 @@ def extend_per_row(table: Table, rows: Iterable[Sequence[object]]) -> int:
 
 def sample_per_row(table: Table, row_ids: Iterable[int]) -> Table:
     """New table holding copies of the given rows (same schema)."""
-    derived = table._derive()
+    derived = Table(table.schema)
     for row_id in row_ids:
         derived.insert(table.row(row_id))
     return derived
@@ -33,7 +33,7 @@ def sample_per_row(table: Table, row_ids: Iterable[int]) -> Table:
 
 def filter_per_row(table: Table, keep: Callable[[Row], bool]) -> Table:
     """New table with rows passing ``keep`` (same schema)."""
-    derived = table._derive()
+    derived = Table(table.schema)
     for row in table:
         if keep(row):
             derived.insert(row)

@@ -1,8 +1,7 @@
 """The bulk load path is bit-identical to the per-row loops it replaced.
 
-``Table.extend``/``sample``/``filter``, index backfills and
-``ColumnarTable.from_table`` must leave the same rows, the same hash
-buckets in the same order, the same sorted keys and row ids, and the
+``Table.extend``/``sample``/``filter`` and index backfills must leave
+the same rows, the same hash buckets in the same order, the same sorted keys and row ids, and the
 same derived reads as inserting row by row; the collector must return
 the same rows, report, ProbeLog and RNG state as the collector that
 built the full extraction as a table.  Values are compared by ``repr``
@@ -16,21 +15,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.table import ColumnarTable, Table
+from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
 from repro.sampling.collector import collect_sample, probe_all
 from tests.oracles.collector import collect_sample_full_table, probe_all_full_table
 from tests.oracles.table import extend_per_row, filter_per_row, sample_per_row
 from tests.strategies import SKEWED_SCHEMA, skewed_tables
-
-ENGINES = {
-    "row": lambda auto_index=True: Table(SKEWED_SCHEMA, auto_index=auto_index),
-    # Small blocks, so a load crosses several zone-map blocks.
-    "columnar": lambda auto_index=True: ColumnarTable(
-        SKEWED_SCHEMA, auto_index=auto_index, block_rows=16
-    ),
-}
-
 
 def _snapshot(table: Table) -> str:
     """Every read the load path can affect, rendered exactly."""
@@ -63,41 +53,40 @@ def _with_numeric_hash_index(table: Table) -> Table:
 
 @given(
     skewed_tables(),
-    st.sampled_from(sorted(ENGINES)),
     st.integers(min_value=0, max_value=200),
     st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_extend_matches_per_row_inserts(source, engine, split, as_lists):
+def test_extend_matches_per_row_inserts(source, split, as_lists):
     rows = source.rows()
     if as_lists:
         rows = [list(row) for row in rows]
     split = min(split, len(rows))
-    bulk = _with_numeric_hash_index(ENGINES[engine]())
+    bulk = _with_numeric_hash_index(Table(SKEWED_SCHEMA))
     assert bulk.extend(rows[:split]) == split
     assert bulk.extend(iter(rows[split:])) == len(rows) - split
-    oracle = _with_numeric_hash_index(ENGINES[engine]())
+    oracle = _with_numeric_hash_index(Table(SKEWED_SCHEMA))
     assert extend_per_row(oracle, rows) == len(rows)
     assert _snapshot(bulk) == _snapshot(oracle)
 
 
-@given(skewed_tables(), st.sampled_from(sorted(ENGINES)))
+@given(skewed_tables())
 @settings(max_examples=40, deadline=None)
-def test_index_backfill_matches_per_row_inserts(source, engine):
-    backfilled = ENGINES[engine](auto_index=False)
+def test_index_backfill_matches_per_row_inserts(source):
+    backfilled = Table(SKEWED_SCHEMA, auto_index=False)
     backfilled.extend(source.rows())
     for name in ("A", "B", "C", "N"):
         backfilled.create_hash_index(name)
     backfilled.create_sorted_index("N")
-    oracle = _with_numeric_hash_index(ENGINES[engine]())
+    oracle = _with_numeric_hash_index(Table(SKEWED_SCHEMA))
     extend_per_row(oracle, source.rows())
     assert _snapshot(backfilled) == _snapshot(oracle)
 
 
-@given(skewed_tables(), st.sampled_from(sorted(ENGINES)), st.data())
+@given(skewed_tables(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_sample_and_filter_match_per_row_loops(source, engine, data):
-    table = ENGINES[engine]()
+def test_sample_and_filter_match_per_row_loops(source, data):
+    table = Table(SKEWED_SCHEMA)
     table.extend(source.rows())
     row_ids = (
         data.draw(
@@ -115,15 +104,6 @@ def test_sample_and_filter_match_per_row_loops(source, engine, data):
         return row[1] is not None and row[1] >= threshold
 
     assert _snapshot(table.filter(keep)) == _snapshot(filter_per_row(table, keep))
-
-
-@given(skewed_tables())
-@settings(max_examples=40, deadline=None)
-def test_from_table_matches_per_row_inserts(source):
-    converted = ColumnarTable.from_table(source, block_rows=16)
-    oracle = ENGINES["columnar"]()
-    extend_per_row(oracle, source.rows())
-    assert _snapshot(converted) == _snapshot(oracle)
 
 
 _SPANNING = st.sampled_from((None, "A", "B", "C"))

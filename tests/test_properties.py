@@ -15,6 +15,8 @@ Invariants checked:
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,6 +247,7 @@ def test_numeric_similarity_symmetric_around_reference(reference, fraction):
                 st.floats(
                     min_value=0, max_value=1e6, allow_nan=False, width=32
                 ),
+                st.sampled_from([math.inf, -math.inf, math.nan]),
             ),
             st.integers(min_value=1980, max_value=2010),
         ),
@@ -272,7 +275,9 @@ def test_csv_round_trip_preserves_rows(tmp_path_factory, rows):
     assert len(loaded) == len(table)
     for original, reloaded in zip(table, loaded):
         for a, b in zip(original, reloaded):
-            if isinstance(a, float):
+            if isinstance(a, float) and math.isnan(a):
+                assert isinstance(b, float) and math.isnan(b)
+            elif isinstance(a, float):
                 assert b == __import__("pytest").approx(a, rel=1e-6)
             else:
                 assert a == b
