@@ -36,10 +36,8 @@ def _mrr_for(scorer, table, ground_truth, rng) -> float:
         row = table.row(query_id)
         reference = schema.row_to_mapping(row)
         candidates = rng.sample(range(len(table)), POOL)
-        top = sorted(
-            candidates,
-            key=lambda i: -scorer.sim_between_rows(row, table.row(i)),
-        )[:10]
+        score = scorer.row_scorer(row)
+        top = sorted(candidates, key=lambda i: -score(table.row(i)))[:10]
         taste = [ground_truth.score(reference, table.row(i)) for i in top]
         order = sorted(range(10), key=lambda i: -taste[i])
         ranks = [0] * 10

@@ -1,6 +1,6 @@
 """REP003 — the import-contract graph.
 
-The repo is layered ``db → afd/simmining → rock → core → evalx/perf →
+The repo is layered ``db → afd/simmining → rock → core → evalx →
 cli``; lower layers must not import upward, ``repro.core`` talks to the
 database only through the ``repro.db`` facade (never submodules), and
 package-level import cycles are forbidden outright (detected over the
@@ -36,7 +36,6 @@ LAYERS: dict[str, int] = {
     "repro.core": 4,
     "repro.feedback": 5,
     "repro.evalx": 5,
-    "repro.perf": 5,
     "repro.analysis": 5,
     "repro.serve": 6,
     "repro.cli": 7,

@@ -12,9 +12,7 @@ Four commands cover the life cycle a downstream user walks through:
   and dump the metrics snapshot;
 * ``trace``    — answer one query with tracing + wide events on and
   summarise the recorded spans (or summarise an existing JSONL event
-  log via ``--from-events``);
-* ``bench``    — time every fast path against its reference path and
-  emit a ``BENCH_perf.json`` report (see ``docs/PERFORMANCE.md``).
+  log via ``--from-events``).
 
 Every command also accepts the observability flags, before **or**
 after the subcommand: ``--trace`` (print the recorded span trees
@@ -35,7 +33,6 @@ Examples::
     python -m repro trace cardb Make=Ford
     python -m repro experiment fig5
     python -m repro stats cardb --rows 2000 --sample 500 --format prom
-    python -m repro bench --scale smoke --check --out BENCH_perf.json
 """
 
 from __future__ import annotations
@@ -86,15 +83,6 @@ from repro.obs import (
     to_json,
     to_prometheus,
     write_chrome_trace,
-)
-from repro.perf.bench import (
-    SCALES,
-    SCENARIOS,
-    append_history,
-    check_baseline,
-    check_regressions,
-    load_report,
-    run_bench,
 )
 from repro.resilience import ResilienceError, ResiliencePolicy, ResilientWebDatabase
 from repro.serve import AIMQServer, ServeConfig, preregister_serve_metrics
@@ -464,46 +452,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if drained else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the fast-path micro-benchmarks and report/check the results."""
-    # Read the baseline before the run: --out may legitimately point at
-    # the same file the baseline is read from.
-    baseline = load_report(args.baseline) if args.baseline else None
-    report = run_bench(args.scale, only=args.only)
-    rendered = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"benchmark report written to {args.out}")
-    else:
-        print(rendered)
-    for name, entry in report["scenarios"].items():
-        print(
-            f"{name}: {entry['speedup']}x "
-            f"({entry['slow_seconds']:.3f}s -> {entry['fast_seconds']:.3f}s, "
-            f"equivalent={entry['equivalent']})"
-        )
-    if args.history:
-        append_history(report, args.history)
-        print(f"trajectory line appended to {args.history}")
-    failures: list[str] = []
-    if args.check:
-        failures.extend(
-            check_regressions(report, max_regression=args.max_regression)
-        )
-    if baseline is not None:
-        failures.extend(
-            check_baseline(report, baseline, max_regression=args.max_regression)
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}", file=sys.stderr)
-        return 1
-    if args.check or baseline is not None:
-        print("all fast paths within tolerance")
-    return 0
-
-
 # -- parser -------------------------------------------------------------------
 
 
@@ -696,50 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="likeness constraints (default: a demo query from the sample)",
     )
     trace.set_defaults(handler=_cmd_trace)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="time the fast paths against their reference implementations",
-    )
-    bench.add_argument(
-        "--scale",
-        choices=sorted(SCALES),
-        default="default",
-        help="problem sizes to benchmark at (default: default)",
-    )
-    bench.add_argument(
-        "--only",
-        action="append",
-        choices=sorted(SCENARIOS),
-        help="run only this scenario (repeatable)",
-    )
-    bench.add_argument(
-        "--out", help="write the JSON report here instead of stdout"
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if a fast path regresses or is not equivalent",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="tolerated fast-path slowdown for --check (default: 0.25)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare speedups against this committed report and exit "
-        "non-zero on decay beyond --max-regression",
-    )
-    bench.add_argument(
-        "--history",
-        metavar="PATH",
-        help="append one trajectory line for this run (JSONL)",
-    )
-    _add_obs_args(bench, suppress=True)
-    bench.set_defaults(handler=_cmd_bench)
 
     lint = subparsers.add_parser(
         "lint",

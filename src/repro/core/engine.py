@@ -130,9 +130,15 @@ class AIMQEngine:
         k: int | None = None,
         similarity_threshold: float | None = None,
     ) -> AnswerSet:
-        """Run Algorithm 1 and return the top-k ranked answer set."""
+        """Run Algorithm 1 and return the top-k ranked answer set.
+
+        Raises :class:`ValueError` for ``k < 1`` before any probe: no
+        answer set could hold a ranked tuple.
+        """
         threshold = self._threshold(similarity_threshold)
         top_k = self.settings.top_k if k is None else k
+        if top_k < 1:
+            raise ValueError(f"k must be at least 1, got {top_k}")
         described = query.describe()
         with self._driven(
             "answer", RelaxationTrace(), threshold,

@@ -97,9 +97,11 @@ def explain_answer(
     """Decompose ``answer``'s score against ``query``.
 
     Only the query's likeness constraints carry graded similarity
-    (precise conjuncts were enforced by the boolean engine), mirroring
-    :meth:`TupleSimilarity.sim_to_query`, so the contribution total
-    reconstructs the answer's query similarity.
+    (precise conjuncts were enforced by the boolean engine), as in
+    :meth:`TupleSimilarity.query_scorer`.  Each attribute is scored by
+    the same value scorer the compiled plan uses, and a None on either
+    side scores 0, so the contribution total reconstructs the answer's
+    query similarity.
     """
     bindings = {
         constraint.attribute: constraint.value
@@ -110,8 +112,10 @@ def explain_answer(
     contributions = []
     for attribute, expected in bindings.items():
         actual = answer.row[schema.position(attribute)]
-        attribute_similarity = similarity._attribute_similarity(
-            attribute, expected, actual
+        attribute_similarity = (
+            0.0
+            if expected is None
+            else similarity._value_scorer(attribute, expected)(actual)
         )
         contributions.append(
             AttributeContribution(

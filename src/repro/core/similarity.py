@@ -12,17 +12,15 @@ The same machinery scores tuple-to-tuple similarity (Algorithm 1 step 7
 compares extracted tuples to *base-set tuples*, not to the query), by
 treating one tuple's values as the reference bindings.
 
-Two scoring paths exist.  The per-call methods (``sim_to_bindings``,
-``sim_to_query``, ``sim_between_rows``) recompute the renormalised
-weights and attribute positions on every call — they are the reference
-implementation.  :class:`BindingsScorer` is the fast path the engine
-uses: one object per reference binding set, with the weight table,
-column positions and per-value similarity lookups resolved once and
-reused across every candidate row.  Both paths perform the identical
-floating-point operations in the identical order, so their scores are
-bit-for-bit equal (asserted by the fast-path equivalence tests).
-:class:`BoundedScorer` walks the same compiled plan with Algorithm 1
-step 7's ``T_sim`` cut built in; it scores every extracted tuple.
+Every score comes from one compiled plan per reference binding set:
+the weight table, column positions and per-value similarity lookups
+are resolved once and reused across every candidate row.
+:class:`BindingsScorer` sums the plan over a row;
+:class:`BoundedScorer` walks the same plan with Algorithm 1 step 7's
+``T_sim`` cut built in and scores every extracted tuple.  The per-call
+reference scorer, which recomputed everything on each call, is a test
+oracle (``tests/oracles/scoring.py``) whose scores the compiled plan
+equals bit for bit.
 """
 
 from __future__ import annotations
@@ -89,10 +87,9 @@ class BindingsScorer:
 
     Holds a plan of ``(column position, weight, value scorer)`` triples
     resolved once; calling the scorer on a row walks the plan in the
-    bindings' original order, so the floating-point accumulation is the
-    same as the per-call reference path.  Categorical value scorers
-    memoise VSim lookups per candidate value — the per-query value
-    lookup table of the fast path.
+    bindings' original order and adds one ``weight · similarity`` term
+    per step.  Categorical value scorers memoise VSim lookups per
+    candidate value.
     """
 
     __slots__ = ("_plan",)
@@ -178,69 +175,15 @@ class TupleSimilarity:
         self.numeric_extents = dict(numeric_extents or {})
         self._weights_memo: dict[tuple[str, ...], dict[str, float]] = {}
 
-    # -- scoring -----------------------------------------------------------
-
-    def sim_to_bindings(
-        self, bindings: Mapping[str, object], row: Sequence[object]
-    ) -> float:
-        """Sim(reference bindings, row) with weights over the bindings."""
-        attributes = tuple(bindings)
-        if not attributes:
-            return 0.0
-        weights = self.ordering.weights_over(attributes)
-        total = 0.0
-        for attribute, reference in bindings.items():
-            weight = weights[attribute]
-            if weight == 0.0:
-                continue
-            candidate = row[self.schema.position(attribute)]
-            total += weight * self._attribute_similarity(
-                attribute, reference, candidate
-            )
-        return total
-
-    def sim_to_query(
-        self, query: ImpreciseQuery, row: Sequence[object]
-    ) -> float:
-        """Sim(Q, t) over the query's *like* constraints.
-
-        Precise constraints were already enforced by the boolean engine
-        when the tuple was fetched; only likeness constraints carry
-        graded similarity.
-        """
-        bindings = {
-            constraint.attribute: constraint.value
-            for constraint in query.like_constraints
-        }
-        if not bindings:
-            return 0.0
-        return self.sim_to_bindings(bindings, row)
-
-    def sim_between_rows(
-        self,
-        reference_row: Sequence[object],
-        candidate_row: Sequence[object],
-        attributes: tuple[str, ...] | None = None,
-    ) -> float:
-        """Sim with a base-set tuple as the reference (Alg. 1 step 7)."""
-        names = attributes if attributes is not None else self.schema.attribute_names
-        bindings = {
-            name: reference_row[self.schema.position(name)]
-            for name in names
-            if reference_row[self.schema.position(name)] is not None
-        }
-        return self.sim_to_bindings(bindings, candidate_row)
-
-    # -- fast path: precompiled scorers --------------------------------------
+    # -- compiled scorers ----------------------------------------------------
 
     def bindings_scorer(self, bindings: Mapping[str, object]) -> BindingsScorer:
         """Compile Sim(bindings, ·) into a reusable scorer.
 
-        Score-equivalent to calling :meth:`sim_to_bindings` with the
-        same bindings: the plan preserves binding order, skips
-        zero-weight attributes exactly as the reference path does, and
-        drops ``None`` references (whose reference-path contribution is
-        exactly ``weight * 0.0``).
+        Importance weights are renormalised over the bound attributes.
+        The plan preserves binding order and drops zero-weight
+        attributes and ``None`` references, whose terms would be
+        exactly ``weight * 0.0``.
         """
         return BindingsScorer(self._plan(bindings))
 
@@ -251,7 +194,12 @@ class TupleSimilarity:
         return BoundedScorer(self._plan(bindings), threshold)
 
     def query_scorer(self, query: ImpreciseQuery) -> BindingsScorer:
-        """Compiled form of :meth:`sim_to_query` for one query."""
+        """Sim(Q, ·) over the query's *like* constraints.
+
+        Precise constraints were already enforced by the boolean engine
+        when the tuple was fetched; only likeness constraints carry
+        graded similarity.
+        """
         bindings = {
             constraint.attribute: constraint.value
             for constraint in query.like_constraints
@@ -263,7 +211,11 @@ class TupleSimilarity:
         reference_row: Sequence[object],
         attributes: tuple[str, ...] | None = None,
     ) -> BindingsScorer:
-        """Compiled form of :meth:`sim_between_rows` for one base tuple."""
+        """Sim with a base-set tuple as the reference (Alg. 1 step 7).
+
+        The reference bindings are the tuple's non-null values over
+        ``attributes`` (default: every attribute).
+        """
         return self.bindings_scorer(self._row_bindings(reference_row, attributes))
 
     def bounded_row_scorer(
@@ -363,25 +315,3 @@ class TupleSimilarity:
             return cached
 
         return categorical_score
-
-    # -- internals -----------------------------------------------------------
-
-    def _attribute_similarity(
-        self, attribute: str, reference: object, candidate: object
-    ) -> float:
-        if candidate is None or reference is None:
-            return 0.0
-        if self.schema.attribute(attribute).is_numeric:
-            extent = (
-                self.numeric_extents.get(attribute)
-                if self.numeric_mode == "range"
-                else None
-            )
-            if extent is not None:
-                return range_scaled_similarity(
-                    float(reference), float(candidate), extent[0], extent[1]  # type: ignore[arg-type]
-                )
-            return numeric_similarity(float(reference), float(candidate))  # type: ignore[arg-type]
-        return self.value_similarity.similarity(
-            attribute, str(reference), str(candidate)
-        )

@@ -28,6 +28,7 @@ intersection per predicate, bounded by the smaller side.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Iterator, Sequence
 
 from repro.db.predicates import (
@@ -254,13 +255,19 @@ class SortedIndex:
             stop = bisect.bisect_left(self._keys, high)
         return start, max(start, stop)
 
-    def min_value(self) -> object | None:
-        self._rebuild_if_needed()
-        return self._keys[0] if self._keys else None
+    def finite_extent(self) -> tuple[object, object] | None:
+        """(min, max) of the finite keys, or None when there are none.
 
-    def max_value(self) -> object | None:
+        The keys hold no NaN, and ±inf keys sort to the two ends, so two
+        bisections step over them.
+        """
         self._rebuild_if_needed()
-        return self._keys[-1] if self._keys else None
+        keys = self._keys
+        start = bisect.bisect_right(keys, -math.inf)
+        stop = bisect.bisect_left(keys, math.inf)
+        if start == stop:
+            return None
+        return keys[start], keys[stop - 1]
 
     def serves(self, predicate: Predicate) -> bool:
         """True when this index can answer ``predicate`` *exactly*.

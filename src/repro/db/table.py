@@ -9,6 +9,7 @@ combination the AIMQ probing and relaxation workloads need.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -163,21 +164,23 @@ class Table:
         return counts
 
     def numeric_extent(self, attribute: str) -> tuple[float, float] | None:
-        """(min, max) of a numeric attribute, or None when empty/all-null.
+        """(min, max) of a numeric attribute's finite cells, or None.
 
-        NaN cells are skipped like nulls: they are unordered, so they
-        bound nothing.
+        NaN and ±inf cells are skipped like nulls: NaN is unordered, and
+        an infinite end would stretch every range built on the extent
+        over the finite values, so neither bounds anything.
         """
-        if attribute in self._sorted_indexes:
-            index = self._sorted_indexes[attribute]
-            low, high = index.min_value(), index.max_value()
-            if low is None:
-                return None
-            return (low, high)  # type: ignore[return-value]
         if self.schema.attribute(attribute).is_categorical:
             raise UnknownAttributeError(attribute, self.schema.name)
-        # ``v == v`` is False only for NaN.
-        values = [v for v in self.column(attribute) if v is not None and v == v]
+        index = self._sorted_indexes.get(attribute)
+        if index is not None:
+            return index.finite_extent()  # type: ignore[return-value]
+        # ``-inf < v < inf`` is False exactly for NaN and ±inf.
+        values = [
+            v
+            for v in self.column(attribute)
+            if v is not None and -math.inf < v < math.inf  # type: ignore[operator]
+        ]
         if not values:
             return None
         return (min(values), max(values))  # type: ignore[arg-type]

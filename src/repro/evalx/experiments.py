@@ -651,9 +651,10 @@ def run_retrieval_recall(
     for query_id in query_ids:
         row = table.row(query_id)
         # Exhaustive ground truth under the identical similarity model.
+        score = engine.similarity.row_scorer(row)
         scored = sorted(
             (
-                (engine.similarity.sim_between_rows(row, table.row(i)), i)
+                (score(table.row(i)), i)
                 for i in range(len(table))
                 if i != query_id
             ),

@@ -18,7 +18,6 @@ See ``docs/SERVING.md`` for the endpoint and degradation contract.
 
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.app import AIMQServer, serve
-from repro.serve.bench import bench_serve_load
 from repro.serve.config import ServeConfig
 from repro.serve.handlers import (
     Response,
@@ -42,7 +41,6 @@ __all__ = [
     "ServeState",
     "SessionBudgets",
     "answer_payload",
-    "bench_serve_load",
     "budgets_for",
     "preregister_serve_metrics",
     "serve",

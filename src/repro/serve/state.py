@@ -98,25 +98,6 @@ class ServeState:
         state.reload()
         return state
 
-    @classmethod
-    def from_bundle(
-        cls,
-        config: ServeConfig,
-        webdb: AutonomousWebDatabase,
-        model: AIMQModel,
-    ) -> "ServeState":
-        """Adopt already-built artifacts (bench and test harnesses).
-
-        The caller owns the facade's probe-cache setting; this skips
-        :func:`_dataset_webdb` entirely so a harness can serve several
-        configurations of the same mined model without re-mining.
-        """
-        state = cls(config)
-        with state._lock:
-            state._bundle = ModelBundle(webdb=webdb, model=model, generation=1)
-            state._reloads = 1
-        return state
-
     # -- access ------------------------------------------------------------
 
     def current(self) -> ModelBundle:

@@ -17,6 +17,7 @@ one AV-pair's bags from its answer set's row ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -65,7 +66,13 @@ class NumericBinner:
         return min(int((value - self.low) / self.width), self.n_bins - 1)
 
     def label(self, value: float) -> str:
-        """Human-readable range label, e.g. ``"10000-15000"``."""
+        """Human-readable range label, e.g. ``"10000-15000"``.
+
+        A NaN or infinite value lies in no range: its label is its kind,
+        ``"nan"``, ``"inf"`` or ``"-inf"``.
+        """
+        if not -math.inf < value < math.inf:
+            return repr(value)
         index = self.bin_index(value)
         bin_low = self.low + index * self.width
         bin_high = bin_low + self.width
@@ -75,7 +82,12 @@ class NumericBinner:
 def build_binners(
     table: Table, n_bins: int = 10
 ) -> dict[str, NumericBinner]:
-    """One binner per numeric attribute, sized to the sample's extent."""
+    """One binner per numeric attribute, sized to its finite extent.
+
+    Bin edges span the finite values only (see
+    :meth:`~repro.db.table.Table.numeric_extent`); an attribute with no
+    finite value gets no binner.
+    """
     binners: dict[str, NumericBinner] = {}
     for name in table.schema.numeric_names:
         extent = table.numeric_extent(name)
@@ -134,7 +146,9 @@ def keyword_columns(
 
     A value is its own keyword, except that a numeric attribute with a
     binner maps each value to its range label, computed once per
-    distinct value.  Nulls stay None and contribute nothing to a bag.
+    distinct value; a NaN or ±inf cell there gets one keyword per kind
+    (``"nan"``, ``"inf"``, ``"-inf"``) and never a range label.  Nulls
+    stay None and contribute nothing to a bag.
     """
     binners = binners or {}
     keywords: dict[str, Sequence[object]] = {}

@@ -81,6 +81,14 @@ class TestAnswer:
         answers = car_engine.answer_by_example(example, k=5)
         assert len(answers) >= 1
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises_before_probing(self, car_engine, car_webdb, k):
+        query = ImpreciseQuery.like("CarDB", Model="Camry", Price=10000)
+        with car_webdb.accounting_scope() as window:
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                car_engine.answer(query, k=k)
+        assert window.probes_issued == 0
+
 
 class TestGatherSimilar:
     def test_excludes_seed_row(self, car_engine, car_table):

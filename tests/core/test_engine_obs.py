@@ -289,18 +289,35 @@ class TestProbeEvents:
 class TestBitIdentity:
     def test_observability_never_changes_an_answer(self, setup):
         webdb, model, query = setup
-        engine = model.engine(webdb)
+        plain = model.engine(webdb)
+        # Finite deadlines, as a served request has.  With OBS off each
+        # probe takes ResilientWebDatabase._guard's fast branch (query
+        # budget only); with OBS on, the full retry path under both.
+        guarded = model.engine(
+            webdb,
+            resilience=ResiliencePolicy(
+                probe_deadline_seconds=60.0, query_deadline_seconds=600.0
+            ),
+        )
+
+        def outcomes():
+            return [
+                (_sig(answers), answers.trace.queries_issued)
+                for answers in (plain.answer(query), guarded.answer(query))
+            ]
+
         OBS.reset()
         OBS.disable()
         OBS.events.enabled = False
-        baseline = _sig(engine.answer(query))
+        baseline = outcomes()
         try:
             OBS.events.enabled = True
-            events_only = _sig(engine.answer(query))
+            events_only = outcomes()
             OBS.enable()
-            full = _sig(engine.answer(query))
+            full = outcomes()
         finally:
             OBS.disable()
             OBS.events.enabled = False
             OBS.reset()
+        assert baseline[0] == baseline[1]
         assert baseline == events_only == full

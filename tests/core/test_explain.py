@@ -10,6 +10,7 @@ from repro.core.query import ImpreciseQuery
 from repro.core.results import RankedAnswer
 from repro.core.similarity import TupleSimilarity
 from repro.simmining.estimator import SimilarityModel
+from tests.oracles.scoring import sim_to_query
 
 
 @pytest.fixture()
@@ -37,8 +38,28 @@ class TestExplainAnswer:
         answer = make_answer(row)
         explanation = explain_answer(scorer, query, answer)
         assert explanation.total == pytest.approx(
-            scorer.sim_to_query(query, row)
+            sim_to_query(scorer, query, row)
         )
+
+    @pytest.mark.parametrize(
+        ("query", "row"),
+        [
+            (
+                ImpreciseQuery.like("Cars", Model="Camry", Price=10000),
+                ("Honda", None, 9000, 2001),
+            ),
+            (
+                ImpreciseQuery.like("Cars", Model=None, Price=10000),
+                ("Honda", "Accord", 9000, 2001),
+            ),
+        ],
+        ids=["null-answer-cell", "null-query-value"],
+    )
+    def test_null_on_either_side_contributes_nothing(self, scorer, query, row):
+        explanation = explain_answer(scorer, query, make_answer(row))
+        model = next(c for c in explanation.contributions if c.attribute == "Model")
+        assert model.similarity == 0.0
+        assert explanation.total == pytest.approx(sim_to_query(scorer, query, row))
 
     def test_one_contribution_per_like_constraint(self, scorer):
         query = ImpreciseQuery.like("Cars", Model="Camry", Price=10000)

@@ -15,6 +15,7 @@ from repro.core.similarity import (
 )
 from repro.db import RelationSchema
 from repro.simmining.estimator import SimilarityModel
+from tests.oracles.scoring import sim_between_rows, sim_to_bindings, sim_to_query
 
 
 class TestNumericSimilarity:
@@ -77,16 +78,16 @@ class TestNumericModeSelection:
         )
         row = ("Toyota", "Camry", 11000, 2000)
         # |10000-11000| / 20000 = 0.05 -> 0.95 (relative would give 0.9)
-        assert scorer.sim_to_bindings({"Price": 10000}, row) == pytest.approx(
-            0.95
-        )
+        compiled = scorer.bindings_scorer({"Price": 10000})
+        assert compiled(row) == pytest.approx(0.95)
+        assert compiled(row) == sim_to_bindings(scorer, {"Price": 10000}, row)
 
     def test_range_mode_falls_back_without_extent(self, toy_schema):
         scorer = self.make(toy_schema, "range", extents={})
         row = ("Toyota", "Camry", 11000, 2000)
-        assert scorer.sim_to_bindings({"Price": 10000}, row) == pytest.approx(
-            0.9
-        )
+        compiled = scorer.bindings_scorer({"Price": 10000})
+        assert compiled(row) == pytest.approx(0.9)
+        assert compiled(row) == sim_to_bindings(scorer, {"Price": 10000}, row)
 
 
 @pytest.fixture()
@@ -103,29 +104,31 @@ class TestSimToBindings:
     def test_exact_match_scores_one(self, scorer):
         row = ("Toyota", "Camry", 10000, 2000)
         bindings = {"Make": "Toyota", "Model": "Camry", "Price": 10000}
-        assert scorer.sim_to_bindings(bindings, row) == pytest.approx(1.0)
+        assert sim_to_bindings(scorer, bindings, row) == pytest.approx(1.0)
 
     def test_weighted_mix(self, scorer):
         row = ("Honda", "Accord", 10000, 2000)
         bindings = {"Model": "Camry", "Price": 10000}
         # uniform weights over 2 bound attrs: 0.5*0.8 + 0.5*1.0
-        assert scorer.sim_to_bindings(bindings, row) == pytest.approx(0.9)
+        assert sim_to_bindings(scorer, bindings, row) == pytest.approx(0.9)
 
     def test_unknown_categorical_pair_scores_zero(self, scorer):
         row = ("Ford", "Focus", 10000, 2000)
-        assert scorer.sim_to_bindings({"Model": "Camry"}, row) == pytest.approx(0.0)
+        assert sim_to_bindings(scorer, {"Model": "Camry"}, row) == pytest.approx(
+            0.0
+        )
 
     def test_null_candidate_scores_zero(self, scorer, toy_schema):
         row = ("Toyota", None, 10000, 2000)
-        assert scorer.sim_to_bindings({"Model": "Camry"}, row) == 0.0
+        assert sim_to_bindings(scorer, {"Model": "Camry"}, row) == 0.0
 
     def test_empty_bindings(self, scorer):
-        assert scorer.sim_to_bindings({}, ("Toyota", "Camry", 1, 2)) == 0.0
+        assert sim_to_bindings(scorer, {}, ("Toyota", "Camry", 1, 2)) == 0.0
 
     def test_range_in_unit_interval(self, scorer):
         row = ("Honda", "F-150", 99999, 1900)
         bindings = {"Model": "Camry", "Price": 10000, "Year": 2000}
-        assert 0.0 <= scorer.sim_to_bindings(bindings, row) <= 1.0
+        assert 0.0 <= sim_to_bindings(scorer, bindings, row) <= 1.0
 
 
 class TestSimToQuery:
@@ -142,43 +145,43 @@ class TestSimToQuery:
         )
         row = ("Honda", "Accord", 1, 2000)
         # Only Model contributes: VSim(Camry, Accord) = 0.8.
-        assert scorer.sim_to_query(query, row) == pytest.approx(0.8)
+        assert sim_to_query(scorer, query, row) == pytest.approx(0.8)
 
     def test_no_like_constraints(self, scorer):
         from repro.core.query import PreciseConstraint
         from repro.db.predicates import Lt
 
         query = ImpreciseQuery("Cars", (PreciseConstraint(Lt("Price", 1)),))
-        assert scorer.sim_to_query(query, ("Toyota", "Camry", 0, 0)) == 0.0
+        assert sim_to_query(scorer, query, ("Toyota", "Camry", 0, 0)) == 0.0
 
 
 class TestSimBetweenRows:
     def test_identical_rows(self, scorer):
         row = ("Toyota", "Camry", 10000, 2000)
-        assert scorer.sim_between_rows(row, row) == pytest.approx(1.0)
+        assert sim_between_rows(scorer, row, row) == pytest.approx(1.0)
 
     def test_symmetric_for_categoricals(self, scorer):
         a = ("Toyota", "Camry", 10000, 2000)
         b = ("Honda", "Accord", 10000, 2000)
-        assert scorer.sim_between_rows(a, b) == pytest.approx(
-            scorer.sim_between_rows(b, a)
+        assert sim_between_rows(scorer, a, b) == pytest.approx(
+            sim_between_rows(scorer, b, a)
         )
 
     def test_attribute_subset(self, scorer):
         a = ("Toyota", "Camry", 10000, 2000)
         b = ("Honda", "Accord", 99999, 1900)
-        only_model = scorer.sim_between_rows(a, b, attributes=("Model",))
+        only_model = sim_between_rows(scorer, a, b, attributes=("Model",))
         assert only_model == pytest.approx(0.8)
 
     def test_null_reference_attributes_skipped(self, scorer):
         a = ("Toyota", None, 10000, 2000)
         b = ("Toyota", "Accord", 10000, 2000)
         # Model is null in the reference: similarity over remaining attrs.
-        assert scorer.sim_between_rows(a, b) == pytest.approx(1.0)
+        assert sim_between_rows(scorer, a, b) == pytest.approx(1.0)
 
 
 class TestCompiledScorers:
-    """The precompiled fast path must be bit-for-bit the reference path."""
+    """The compiled plan must be bit-for-bit the per-call oracle."""
 
     ROWS = [
         ("Toyota", "Camry", 10000, 2000),
@@ -193,32 +196,32 @@ class TestCompiledScorers:
         bindings = {"Model": "Camry", "Price": 10000, "Year": 2000}
         compiled = scorer.bindings_scorer(bindings)
         for row in self.ROWS:
-            assert compiled(row) == scorer.sim_to_bindings(bindings, row)
+            assert compiled(row) == sim_to_bindings(scorer, bindings, row)
 
     def test_bindings_scorer_with_null_reference(self, scorer):
         bindings = {"Model": None, "Price": 10000}
         compiled = scorer.bindings_scorer(bindings)
         for row in self.ROWS:
-            assert compiled(row) == scorer.sim_to_bindings(bindings, row)
+            assert compiled(row) == sim_to_bindings(scorer, bindings, row)
 
     def test_query_scorer_bit_equal(self, scorer):
         query = ImpreciseQuery.like("Cars", Model="Camry", Price=10000)
         compiled = scorer.query_scorer(query)
         for row in self.ROWS:
-            assert compiled(row) == scorer.sim_to_query(query, row)
+            assert compiled(row) == sim_to_query(scorer, query, row)
 
     def test_row_scorer_bit_equal(self, scorer):
         reference = ("Toyota", "Camry", 10000, 2000)
         compiled = scorer.row_scorer(reference)
         for row in self.ROWS:
-            assert compiled(row) == scorer.sim_between_rows(reference, row)
+            assert compiled(row) == sim_between_rows(scorer, reference, row)
 
     def test_row_scorer_attribute_subset(self, scorer):
         reference = ("Toyota", "Camry", 10000, 2000)
         compiled = scorer.row_scorer(reference, attributes=("Model", "Price"))
         for row in self.ROWS:
-            assert compiled(row) == scorer.sim_between_rows(
-                reference, row, attributes=("Model", "Price")
+            assert compiled(row) == sim_between_rows(
+                scorer, reference, row, attributes=("Model", "Price")
             )
 
     def test_empty_bindings_scorer(self, scorer):

@@ -128,10 +128,16 @@ class TestSortedIndex:
 
     def test_min_max(self):
         index = self.make()
-        assert index.min_value() == 10
-        assert index.max_value() == 50
+        assert index.finite_extent() == (10, 50)
         empty = SortedIndex("P")
-        assert empty.min_value() is None
+        assert empty.finite_extent() is None
+        # ±inf keys sort to the ends and bound nothing.
+        index.add(float("inf"), 7)
+        index.add(float("-inf"), 8)
+        assert index.finite_extent() == (10, 50)
+        infinite = SortedIndex("P")
+        infinite.add(float("inf"), 0)
+        assert infinite.finite_extent() is None
 
     def test_incremental_adds_resort(self):
         index = self.make()

@@ -1,7 +1,13 @@
 """Unit tests for the opt-in LRU probe cache."""
 
+import random
+
 import pytest
 
+from repro.core.config import AIMQSettings
+from repro.core.pipeline import build_model
+from repro.core.query import ImpreciseQuery
+from repro.datasets.cardb import generate_cardb
 from repro.db.errors import ProbeLimitExceededError
 from repro.db.predicates import Between, Eq, IsIn, Lt
 from repro.db.probe_cache import ProbeCache, canonical_probe_key
@@ -140,3 +146,60 @@ class TestWebdbIntegration:
             toy_webdb.query(query)
         assert window.probes_issued == 0
         assert window.cache_hits == 1
+
+
+# -- probe cache on/off -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cache_setup():
+    webdb = AutonomousWebDatabase(generate_cardb(1200, seed=5))
+    model = build_model(
+        webdb,
+        sample_size=400,
+        rng=random.Random(6),
+        settings=AIMQSettings(max_relaxation_level=3),
+    )
+    webdb.reset_accounting()
+    return webdb, model
+
+
+def _sample_queries(webdb, model, count: int) -> list[ImpreciseQuery]:
+    schema = webdb.schema
+    sample = model.sample
+    queries = []
+    for index in range(count):
+        row = sample.row((index * 97) % len(sample))
+        bindings = {
+            name: row[schema.position(name)]
+            for name in ("Model", "Price", "Location")
+            if row[schema.position(name)] is not None
+        }
+        queries.append(ImpreciseQuery.like(schema.name, **bindings))
+    return queries
+
+
+def test_probe_cache_preserves_answer_sets(cache_setup):
+    webdb, model = cache_setup
+    engine = model.engine(webdb)
+    for query in _sample_queries(webdb, model, 4):
+        webdb.disable_probe_cache()
+        cold = engine.answer(query)
+        webdb.enable_probe_cache()
+        try:
+            warm = engine.answer(query)
+            hot = engine.answer(query)
+        finally:
+            webdb.disable_probe_cache()
+
+        # Identical answers: same tuples, same scores, same order.
+        assert cold.answers == warm.answers
+        assert cold.answers == hot.answers
+        # Only the probe accounting differs: with the cache off nothing
+        # is ever served from it, with it on the same lookups happen
+        # but repeats stop reaching the source.
+        assert cold.trace.probes_cached == 0
+        assert warm.trace.total_lookups == cold.trace.queries_issued
+        assert hot.trace.total_lookups == cold.trace.queries_issued
+        assert hot.trace.probes_cached > 0
+        assert hot.trace.queries_issued < cold.trace.queries_issued

@@ -67,18 +67,24 @@ class TestColumns:
 
     @pytest.mark.parametrize("auto_index", [True, False])
     def test_numeric_extent_skips_nan(self, toy_schema, auto_index):
+        # NaN and ±inf cells bound nothing, indexed or not.
         table = Table(toy_schema, auto_index=auto_index)
         table.extend(
             [
                 ("Ford", "Focus", float("nan"), 2001),
+                ("Ford", "Focus", float("inf"), 2001),
                 ("Ford", "Focus", 7000, 2001),
+                ("Kia", "Rio", float("-inf"), 2003),
                 ("Kia", "Rio", 5000.5, 2003),
             ]
         )
         assert table.numeric_extent("Price") == (5000.5, 7000)
-        only_nan = Table(toy_schema, auto_index=auto_index)
-        only_nan.insert(("Ford", "Focus", float("nan"), 2001))
-        assert only_nan.numeric_extent("Price") is None
+        no_finite = Table(toy_schema, auto_index=auto_index)
+        no_finite.extend(
+            ("Ford", "Focus", bad, 2001)
+            for bad in (float("nan"), float("inf"), float("-inf"), None)
+        )
+        assert no_finite.numeric_extent("Price") is None
 
     def test_numeric_extent_categorical_raises(self, toy_table):
         with pytest.raises(UnknownAttributeError):

@@ -64,19 +64,37 @@ class TestQueryBitIdentity:
         )
         engine = model.engine(webdb, resilience=ResiliencePolicy())
         query = ImpreciseQuery.like("CarDB", Make="Ford", Year=2002)
-        expected = answer_payload(engine.answer(query, k=8))
+        expected = json.loads(json.dumps(answer_payload(engine.answer(query, k=8))))
+        params = {"c": ["Make=Ford", "Year=2002"], "k": ["8"]}
 
-        response = make_router().route(
-            "GET", "/query", {"c": ["Make=Ford", "Year=2002"], "k": ["8"]}
-        )
+        response = make_router().route("GET", "/query", params)
         assert response.status == 200
         served = get_json(response)
         served.pop("trace_id")
         served.pop("budgets")
         # Bit-identical: rows, order, similarities, trace counters
         # (probe accounting) and degradation flags all match exactly.
-        assert served == json.loads(json.dumps(expected))
+        assert served == expected
         assert expected["answers"], "reference query answered nothing"
+
+        # With the shared probe cache on, cold and then warm: repeated
+        # probes are served locally, so the issued and cached counters
+        # differ, but every lookup still happens and clients see the
+        # same answers, order and degradation report.
+        config = dataclasses.replace(serve_config, probe_cache_capacity=8_192)
+        state = ServeState.load(config)
+        router = Router(state, AdmissionController(config), config)
+        expected_trace = expected.pop("trace")
+        for _ in range(2):
+            response = router.route("GET", "/query", params)
+            assert response.status == 200
+            served = get_json(response)
+            served.pop("trace_id")
+            served.pop("budgets")
+            trace = served.pop("trace")
+            assert served == expected
+            assert trace["logical_probes"] == expected_trace["logical_probes"]
+            assert trace["probes_cached"] > 0
 
     def test_get_and_post_produce_the_same_payload(self, make_router):
         router = make_router()
@@ -163,6 +181,8 @@ class TestOverload:
         assert int(response.headers["Retry-After"]) >= 1
         assert get_json(response)["reason"] == "queue_full"
         router.admission.release()
+        # The freed slot admits the next request, which is answered.
+        assert router.route("GET", "/query", {"c": ["Make=Ford"]}).status == 200
 
     def test_draining_server_sheds_new_queries(self, make_router):
         router = make_router()

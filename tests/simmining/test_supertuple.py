@@ -1,7 +1,13 @@
 """Unit tests for supertuples, AV-pairs and numeric binners."""
 
+import math
+
 import pytest
 
+from repro.core.config import AIMQSettings
+from repro.core.pipeline import build_model_from_sample
+from repro.datasets.cardb import generate_cardb
+from repro.db.table import Table
 from repro.simmining.avpair import AVPair
 from repro.simmining.supertuple import (
     NumericBinner,
@@ -133,3 +139,63 @@ class TestKeywordColumns:
         # Columns without a binner are their own keywords.
         assert keywords["Model"] is columns["Model"]
         assert keywords["Year"] is columns["Year"]
+
+
+NAN, INF = float("nan"), float("inf")
+non_finite_prices = pytest.mark.parametrize(
+    "cells",
+    [(NAN,), (INF,), (-INF,), (NAN, INF, -INF)],
+    ids=["nan", "inf", "-inf", "mixed"],
+)
+
+
+def _with_prices(table, cells):
+    """``table`` with every 7th Price replaced, cycling through ``cells``."""
+    position = table.schema.position("Price")
+    rows = []
+    for row_id, row in enumerate(table):
+        if row_id % 7 == 0:
+            cell = cells[(row_id // 7) % len(cells)]
+            row = (*row[:position], cell, *row[position + 1 :])
+        rows.append(row)
+    copy = Table(table.schema)
+    copy.extend(rows)
+    return copy
+
+
+def _price_keywords(table, binners):
+    columns = {name: table.column(name) for name in table.schema.attribute_names}
+    return keyword_columns(columns, table.schema, binners)["Price"]
+
+
+class TestNonFiniteCells:
+    """NaN and ±inf cells bound no bin and get one keyword per kind."""
+
+    @pytest.fixture(scope="class")
+    def cars(self):
+        return generate_cardb(400, seed=3)
+
+    @non_finite_prices
+    def test_finite_keywords_ignore_non_finite_cells(self, cars, cells):
+        table = _with_prices(cars, cells)
+        nulled = _with_prices(cars, (None,))
+        binners = build_binners(table)
+        assert binners == build_binners(nulled)
+        for cell, keyword, finite_keyword in zip(
+            table.column("Price"),
+            _price_keywords(table, binners),
+            _price_keywords(nulled, binners),
+        ):
+            if -math.inf < cell < math.inf:
+                assert keyword == finite_keyword
+            else:
+                assert keyword == repr(cell)
+
+    @non_finite_prices
+    def test_sample_with_non_finite_cells_builds_a_model(self, cars, cells):
+        settings = AIMQSettings(max_relaxation_level=3)
+        model = build_model_from_sample(_with_prices(cars, cells), settings=settings)
+        nulled = build_model_from_sample(_with_prices(cars, (None,)), settings=settings)
+        assert model.numeric_extents == nulled.numeric_extents
+        low, high = model.numeric_extents["Price"]
+        assert -math.inf < low <= high < math.inf

@@ -214,6 +214,32 @@ class TestCommands:
         assert code == 0
         assert "Make=Ford" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["query", "trace", "stats"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_fails_cleanly(self, command, k, capsys):
+        from repro.obs import OBS
+
+        argv = [command, "cardb", "--rows", "300", "--sample", "100", "-k", k]
+        if command != "stats":
+            argv.append("Make=Ford")
+        try:
+            code = main(argv)
+        finally:
+            # trace and stats switch observability on for their run.
+            OBS.disable()
+            OBS.events.enabled = False
+            OBS.reset()
+        assert code == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+
+    def test_bench_is_not_a_command(self, capsys):
+        # Performance is measured end to end (python3 -m benchmarks.e2e);
+        # the CLI has no micro-benchmark command.
+        with pytest.raises(SystemExit) as exited:
+            main(["bench"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     @pytest.fixture(autouse=True)
@@ -309,31 +335,6 @@ class TestObservabilityFlags:
         args = build_parser().parse_args(["stats", "cardb"])
         assert args.format == "both" and args.k == 10
         assert args.trace is False and args.metrics_out is None
-
-
-class TestBenchCommand:
-    def test_bench_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.scale == "default" and args.only is None
-        assert args.check is False and args.max_regression == 0.25
-
-    def test_bench_only_topk_writes_report(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--scale", "smoke", "--only", "topk", "--out", str(out)]
-        )
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["scale"] == "smoke"
-        assert set(report["scenarios"]) == {"topk"}
-        assert report["scenarios"]["topk"]["equivalent"] is True
-        assert "topk:" in capsys.readouterr().out
-
-    def test_bench_rejects_unknown_scenario(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--only", "nonsense"])
 
 
 class TestWideEventsCli:
