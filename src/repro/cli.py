@@ -763,8 +763,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     chrome_out = getattr(args, "chrome_out", None)
     events_out = getattr(args, "events_out", None)
     events_probe = getattr(args, "events_probe", False)
-    saved_events = (OBS.events.enabled, OBS.events.probe_events)
+    saved_flags = (OBS.enabled, OBS.events.enabled, OBS.events.probe_events)
     if trace_flag or metrics_out or chrome_out:
+        # Only this run's spans and metrics are printed or written.
+        OBS.registry.reset()
+        OBS.tracer.reset()
         OBS.enable()
     if events_out or events_probe:
         OBS.events.enabled = True
@@ -798,7 +801,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        OBS.events.enabled, OBS.events.probe_events = saved_events
+        # ``stats`` and ``trace`` switch observability on themselves.
+        OBS.enabled, OBS.events.enabled, OBS.events.probe_events = saved_flags
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

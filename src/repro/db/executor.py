@@ -6,7 +6,8 @@ materialises a candidate list just to compare sizes:
 
 1. among the query's predicates, find those an existing index can
    serve, and size each one exactly (a bucket length or two
-   bisections);
+   bisections) — or read both from the executor's memo of access
+   paths, which holds them per predicate;
 2. take the smallest as the *driver*;
 3. intersect the driver's candidates with the posting set of every
    other hash-served predicate (memoised per value, so each
@@ -14,7 +15,8 @@ materialises a candidate list just to compare sizes:
    side), and with every range-served predicate whose candidate count
    does not exceed the candidates left;
 4. verify the remaining (*residual*) predicates row by row on the
-   rows that survive, in ascending row-id order.
+   rows that survive, in ascending row-id order; when none remain,
+   every survivor matches and the page is sliced from them.
 
 When no predicate is indexable the executor falls back to a full scan.
 Results — rows, order, truncation — never depend on the plan: every
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.db.index import HashIndex, SortedIndex
 from repro.db.predicates import Eq, IsIn, Predicate
@@ -119,67 +121,138 @@ class QueryResult:
         return iter(self.rows)
 
 
+#: An access path: the index serving a predicate (None when the row
+#: check must decide it), that index's exact candidate count (0 when
+#: unserved) and the predicate's attribute position in a row tuple.
+_AccessPath = tuple[HashIndex | SortedIndex | None, int, int]
+
+#: Access paths one executor memoises before it drops them all.  One
+#: broad answer combines a few hundred distinct predicates.
+_MEMO_BOUND = 4096
+
+
 @dataclass
 class _Plan:
     """How one query is answered.
 
-    ``candidates`` is None for a full scan; otherwise it lists, in
-    ascending order, exactly the row ids matching every index-served
-    predicate.  ``residual`` holds the predicates still to verify row
-    by row (for a full scan, the whole query); ``intersected`` counts
-    the predicates intersected into the driver's candidates.
+    ``candidates`` is None for a full scan; otherwise it holds, in no
+    particular order, exactly the row ids matching every index-served
+    predicate that was applied.  ``checks`` pairs each predicate still
+    to verify row by row (for a full scan, the whole query) with its
+    tuple position, in query order; ``intersected`` counts the
+    predicates intersected into the driver's candidates.
     """
 
-    candidates: list[int] | None
-    residual: SelectionQuery
+    candidates: Collection[int] | None
+    checks: list[tuple[int, Predicate]]
     intersected: int = 0
 
 
 class Executor:
-    """Executes selection queries over a single table."""
+    """Executes selection queries over a single table.
+
+    The executor memoises each predicate's access path — its serving
+    index, that index's exact candidate count and the tuple position of
+    its attribute — the first time it sees the predicate, so the probes
+    of one relaxation lattice, which share their conjuncts, are planned
+    from the memo.  An entry holds no row ids.  A table write or index
+    creation drops the memo, and so does reaching ``_MEMO_BOUND``
+    entries; a predicate that cannot be hashed is planned afresh on
+    every probe.
+    """
 
     def __init__(self, table: Table) -> None:
         self.table = table
         self.stats = ExecutionStats()
+        self._access_paths: dict[Predicate, _AccessPath] = {}
+        self._paths_at_write = table.writes
 
     # -- planning -------------------------------------------------------------
+
+    def _paths(self, predicates: Sequence[Predicate]) -> list[_AccessPath]:
+        """Each predicate's access path, from the memo where it can be.
+
+        A new entry validates its predicate's attribute and sizes its
+        index, so a query naming an unknown attribute, or holding a value
+        its index cannot compare, raises here, before any counter moves.
+        """
+        if self._paths_at_write != self.table.writes:
+            self._access_paths = {}
+            self._paths_at_write = self.table.writes
+        memo = self._access_paths
+        paths = []
+        for predicate in predicates:
+            try:
+                path = memo[predicate]
+            except KeyError:
+                path = self._access_path(predicate)
+                if len(memo) >= _MEMO_BOUND:
+                    memo.clear()
+                memo[predicate] = path
+            except TypeError:
+                # An unhashable value (a list, say) cannot key the memo.
+                path = self._access_path(predicate)
+            paths.append(path)
+        return paths
+
+    def _access_path(self, predicate: Predicate) -> _AccessPath:
+        column = self.table.schema.position(predicate.attribute)
+        index = self._serving_index(predicate)
+        size = index.size(predicate) if index is not None else 0
+        return index, size, column
 
     def _plan(self, query: SelectionQuery) -> _Plan:
         """Drive from the smallest index, intersect the others' postings.
 
         Hash postings are always intersected: their sets are memoised,
         so each intersection costs at most the survivors so far.  A
-        range's set is built per probe, so it is intersected only when
-        it holds no more rows than survive; otherwise verifying it on
-        the survivors is the cheaper way to apply it.
+        range's candidates are a slice of its sorted index, read on
+        every probe, so a range is intersected only when it holds no
+        more rows than survive; otherwise verifying it on the survivors
+        is the cheaper way to apply it.  A range driver's slice is
+        intersected as it is, never copied into a set first.
         """
-        paths: list[tuple[int, int, Predicate, HashIndex | SortedIndex]] = []
-        for position, predicate in enumerate(query.predicates):
-            index = self._serving_index(predicate)
-            if index is not None:
-                paths.append((index.size(predicate), position, predicate, index))
-        if not paths:
-            return _Plan(candidates=None, residual=query)
+        predicates = query.predicates
+        paths = self._paths(predicates)
+        indexed = [
+            (size, position, predicate, index)
+            for position, (predicate, (index, size, _)) in enumerate(
+                zip(predicates, paths)
+            )
+            if index is not None
+        ]
+        if not indexed:
+            return _Plan(
+                None, [(column, p) for p, (_, _, column) in zip(predicates, paths)]
+            )
         # Ties keep query order; positions are unique, so the sort never
         # compares predicates.
-        paths.sort()
-        _, _, driver, driver_index = paths[0]
+        indexed.sort()
+        _, _, driver, driver_index = indexed[0]
+        survivors: Collection[int]
+        if isinstance(driver_index, HashIndex) and len(indexed) > 1:
+            survivors = driver_index.candidate_set(driver)
+        else:
+            survivors = driver_index.candidates(driver)
         served = {id(driver)}
         intersected = 0
-        if len(paths) == 1:
-            candidates = sorted(driver_index.candidates(driver))
-        else:
-            survivors = driver_index.candidate_set(driver)
-            for size, _, predicate, index in paths[1:]:
-                if isinstance(index, HashIndex) or size <= len(survivors):
-                    survivors = survivors & index.candidate_set(predicate)
-                    served.add(id(predicate))
-                    intersected += 1
-            candidates = sorted(survivors)
-        residual = SelectionQuery(
-            tuple(p for p in query.predicates if id(p) not in served)
-        )
-        return _Plan(candidates, residual, intersected)
+        for size, _, predicate, index in indexed[1:]:
+            if isinstance(index, HashIndex):
+                survivors = index.candidate_set(predicate).intersection(survivors)
+            elif size <= len(survivors):
+                survivors = frozenset(survivors).intersection(
+                    index.candidates(predicate)
+                )
+            else:
+                continue
+            served.add(id(predicate))
+            intersected += 1
+        checks = [
+            (column, p)
+            for p, (_, _, column) in zip(predicates, paths)
+            if id(p) not in served
+        ]
+        return _Plan(survivors, checks, intersected)
 
     def _serving_index(
         self, predicate: Predicate
@@ -193,6 +266,52 @@ class Executor:
         if sorted_index is not None and sorted_index.serves(predicate):
             return sorted_index
         return None
+
+    def _start(self, query: SelectionQuery) -> _Plan:
+        """Plan ``query`` and count it as executed."""
+        plan = self._plan(query)
+        self.stats.queries_executed += 1
+        if plan.candidates is None:
+            self.stats.full_scans += 1
+        else:
+            self.stats.index_lookups += 1
+            self.stats.postings_intersected += plan.intersected
+        return plan
+
+    def _verify(
+        self, plan: _Plan, stop: int | None
+    ) -> tuple[list[int], bool, int]:
+        """The first ``stop`` matches (every match when None) by row id.
+
+        Returns them with whether another match follows and the number
+        of rows examined: rows are checked until one match past
+        ``stop`` is found.  When intersection left nothing to verify,
+        every survivor matches, so the matches are sliced from the
+        sorted survivors with the count that loop would have made.
+        """
+        checks = plan.checks
+        rows: Iterable[tuple[int, tuple]]
+        if plan.candidates is None:
+            rows = enumerate(self.table)
+        else:
+            row_ids = sorted(plan.candidates)
+            if not checks:
+                if stop is None or len(row_ids) <= stop:
+                    return row_ids, False, len(row_ids)
+                return row_ids[:stop], True, stop + 1
+            rows = zip(row_ids, self.table.rows(row_ids))
+        matched: list[int] = []
+        examined = 0
+        for row_id, row in rows:
+            examined += 1
+            for column, predicate in checks:
+                if not predicate.matches(row[column]):
+                    break
+            else:
+                if len(matched) == stop:
+                    return matched, True, examined
+                matched.append(row_id)
+        return matched, False, examined
 
     # -- execution ------------------------------------------------------------
 
@@ -213,52 +332,21 @@ class Executor:
         whatever plan served the query.  Index candidates are sorted
         into that order before the verify loop, so a paged window
         always means "the first N matches by row id", whichever plan
-        served it.
+        served it.  ``rows_examined`` counts the rows looked at until
+        the window and one match past it were found.
         """
         if offset < 0:
             raise ValueError("offset cannot be negative")
-        query.validate_against(self.table.schema)
         observing = OBS.enabled
         started = time.perf_counter() if observing else 0.0
-        self.stats.queries_executed += 1
-        plan = self._plan(query)
-
-        matched_ids: list[int] = []
-        skipped = 0
-        truncated = False
-        examined = 0
-        schema = self.table.schema
-
-        def consume(row_id: int) -> bool:
-            """Track one match; returns True when the window is full."""
-            nonlocal skipped, truncated
-            if skipped < offset:
-                skipped += 1
-                return False
-            if limit is not None and len(matched_ids) >= limit:
-                truncated = True
-                return True
-            matched_ids.append(row_id)
-            return False
-
-        if plan.candidates is None:
-            self.stats.full_scans += 1
-            for row_id, row in enumerate(self.table):
-                examined += 1
-                if query.matches(row, schema) and consume(row_id):
-                    break
-        else:
-            self.stats.index_lookups += 1
-            self.stats.postings_intersected += plan.intersected
-            residual = plan.residual
-            for row_id in plan.candidates:
-                examined += 1
-                row = self.table.row(row_id)
-                if residual.matches(row, schema) and consume(row_id):
-                    break
+        plan = self._start(query)
+        # A negative limit windows nothing, exactly like a limit of 0.
+        stop = None if limit is None else offset + max(limit, 0)
+        matched, truncated, examined = self._verify(plan, stop)
+        matched_ids = tuple(matched[offset:])
 
         self.stats.rows_examined += examined
-        rows = tuple(self.table.row(row_id) for row_id in matched_ids)
+        rows = tuple(self.table.rows(matched_ids))
         self.stats.rows_returned += len(rows)
         if observing:
             self._record_metrics(
@@ -271,7 +359,7 @@ class Executor:
             )
         return QueryResult(
             query=query,
-            row_ids=tuple(matched_ids),
+            row_ids=matched_ids,
             rows=rows,
             truncated=truncated,
         )
@@ -282,35 +370,14 @@ class Executor:
         A true count-only path: no row tuples are materialised and the
         ``rows_returned`` work counter is untouched, so count probes
         never inflate the rows-returned accounting the efficiency
-        experiments read.  When intersection served every predicate the
-        count is the survivor count, with no per-row work at all.
+        experiments read.  It shares :meth:`execute`'s plan; when
+        intersection served every predicate the count is the survivor
+        count, with no per-row work at all.
         """
-        query.validate_against(self.table.schema)
         observing = OBS.enabled
         started = time.perf_counter() if observing else 0.0
-        self.stats.queries_executed += 1
-        plan = self._plan(query)
-        schema = self.table.schema
-        matches = 0
-        examined = 0
-
-        if plan.candidates is None:
-            self.stats.full_scans += 1
-            for row in self.table:
-                examined += 1
-                if query.matches(row, schema):
-                    matches += 1
-        else:
-            self.stats.index_lookups += 1
-            self.stats.postings_intersected += plan.intersected
-            examined = len(plan.candidates)
-            if not plan.residual.predicates:
-                matches = examined
-            else:
-                residual = plan.residual
-                for row_id in plan.candidates:
-                    if residual.matches(self.table.row(row_id), schema):
-                        matches += 1
+        plan = self._start(query)
+        matched, _, examined = self._verify(plan, None)
 
         self.stats.rows_examined += examined
         if observing:
@@ -322,7 +389,7 @@ class Executor:
                 truncated=False,
                 intersected=plan.intersected,
             )
-        return matches
+        return len(matched)
 
     # -- observability --------------------------------------------------------
 

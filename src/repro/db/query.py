@@ -33,25 +33,16 @@ class SelectionQuery:
     """
 
     predicates: tuple[Predicate, ...]
-    _by_attribute: dict[str, tuple[Predicate, ...]] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    # Lazily memoised grouping and canonicalisation (instances are
+    # immutable, so the first computation is valid forever).  Stored via
+    # object.__setattr__ because the dataclass is frozen.  Relaxation
+    # builds a query per probe and groups almost none of them.
+    _by_attribute: dict[str, tuple[Predicate, ...]] | None = field(
+        init=False, repr=False, compare=False, hash=False, default=None
     )
-    # Lazily memoised canonicalisation (instances are immutable, so the
-    # first computation is valid forever).  Stored via object.__setattr__
-    # like _by_attribute because the dataclass is frozen.
     _canonical_cache: tuple[tuple[object, ...], ...] | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
-
-    def __post_init__(self) -> None:
-        by_attribute: dict[str, list[Predicate]] = {}
-        for predicate in self.predicates:
-            by_attribute.setdefault(predicate.attribute, []).append(predicate)
-        object.__setattr__(
-            self,
-            "_by_attribute",
-            {name: tuple(preds) for name, preds in by_attribute.items()},
-        )
 
     # -- constructors ---------------------------------------------------------
 
@@ -97,7 +88,14 @@ class SelectionQuery:
         return tuple(seen)
 
     def predicates_on(self, attribute: str) -> tuple[Predicate, ...]:
-        return self._by_attribute.get(attribute, ())
+        by_attribute = self._by_attribute
+        if by_attribute is None:
+            grouped: dict[str, list[Predicate]] = {}
+            for predicate in self.predicates:
+                grouped.setdefault(predicate.attribute, []).append(predicate)
+            by_attribute = {name: tuple(preds) for name, preds in grouped.items()}
+            object.__setattr__(self, "_by_attribute", by_attribute)
+        return by_attribute.get(attribute, ())
 
     def equality_binding(self, attribute: str) -> object | None:
         """Return the value an ``Eq`` predicate pins ``attribute`` to."""

@@ -37,6 +37,7 @@ class Table:
     def __init__(self, schema: RelationSchema, auto_index: bool = True) -> None:
         self.schema = schema
         self._rows: list[Row] = []
+        self._writes = 0
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
         if auto_index:
@@ -54,6 +55,7 @@ class Table:
             index = HashIndex(attribute)
             index.add_many(self.column(attribute), range(len(self)))
             self._hash_indexes[attribute] = index
+            self._writes += 1
         return self._hash_indexes[attribute]
 
     def create_sorted_index(self, attribute: str) -> SortedIndex:
@@ -62,6 +64,7 @@ class Table:
             index = SortedIndex(attribute)
             index.add_many(self.column(attribute), range(len(self)))
             self._sorted_indexes[attribute] = index
+            self._writes += 1
         return self._sorted_indexes[attribute]
 
     def hash_index(self, attribute: str) -> HashIndex | None:
@@ -81,6 +84,7 @@ class Table:
             index.add(validated[self.schema.position(attribute)], row_id)
         for attribute, sorted_index in self._sorted_indexes.items():
             sorted_index.add(validated[self.schema.position(attribute)], row_id)
+        self._writes += 1
         return row_id
 
     def insert_mapping(self, mapping: Mapping[str, object]) -> int:
@@ -106,9 +110,19 @@ class Table:
         for attribute, sorted_index in self._sorted_indexes.items():
             position = self.schema.position(attribute)
             sorted_index.add_many(map(itemgetter(position), validated), row_ids)
+        self._writes += 1
         return len(validated)
 
     # -- reads ----------------------------------------------------------------
+
+    @property
+    def writes(self) -> int:
+        """Writes so far: inserts, bulk extends and index creations.
+
+        Anything derived from the rows or the index set (an executor's
+        access paths, say) is stale once this number moves.
+        """
+        return self._writes
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -122,7 +136,7 @@ class Table:
     def rows(self, row_ids: Iterable[int] | None = None) -> list[Row]:
         if row_ids is None:
             return list(self)
-        return [self.row(row_id) for row_id in row_ids]
+        return list(map(self._rows.__getitem__, row_ids))
 
     def column(self, attribute: str) -> list[object]:
         """Materialise one column in row order."""

@@ -146,18 +146,30 @@ def keyword_columns(
 
     A value is its own keyword, except that a numeric attribute with a
     binner maps each value to its range label, computed once per
-    distinct value; a NaN or ±inf cell there gets one keyword per kind
-    (``"nan"``, ``"inf"``, ``"-inf"``) and never a range label.  Nulls
-    stay None and contribute nothing to a bag.
+    distinct value.  A NaN or ±inf numeric cell gets one keyword per
+    kind (``"nan"``, ``"inf"``, ``"-inf"``), binner or not, and never a
+    range label.  Nulls stay None and contribute nothing to a bag.
     """
     binners = binners or {}
     keywords: dict[str, Sequence[object]] = {}
     for attribute in schema:
         name = attribute.name
         column = columns[name]
-        binner = binners.get(name) if attribute.is_numeric else None
-        if binner is None:
+        if not attribute.is_numeric:
             keywords[name] = column
+            continue
+        binner = binners.get(name)
+        if binner is None:
+            # ``-inf < v < inf`` is False exactly for NaN and ±inf.
+            kinds = {
+                value: repr(float(value))  # type: ignore[arg-type]
+                for value in set(column)
+                if value is not None
+                and not -math.inf < value < math.inf  # type: ignore[operator]
+            }
+            keywords[name] = (
+                [kinds.get(value, value) for value in column] if kinds else column
+            )
             continue
         labels: dict[object, object] = {
             value: binner.label(float(value))  # type: ignore[arg-type]

@@ -11,6 +11,27 @@ from repro.datasets.census import generate_censusdb
 from repro.db.schema import RelationSchema
 from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
+from repro.obs import OBS
+
+
+@pytest.fixture(autouse=True)
+def _observability_switches_restored():
+    """Fail a test that leaves observability switched otherwise than it found it.
+
+    ``OBS`` is process-wide, so a flag a test leaves on makes every later
+    test pay for spans and metrics and see stale recordings.  The flags
+    are compared before and after each test (so a module-scoped fixture
+    may keep observability on for its tests) and restored either way.
+    """
+    before = (OBS.enabled, OBS.events.enabled, OBS.events.probe_events)
+    yield
+    after = (OBS.enabled, OBS.events.enabled, OBS.events.probe_events)
+    OBS.enabled, OBS.events.enabled, OBS.events.probe_events = before
+    if after != before:
+        pytest.fail(
+            "observability switches (OBS.enabled, OBS.events.enabled, "
+            f"OBS.events.probe_events) went from {before} to {after}"
+        )
 
 
 @pytest.fixture()

@@ -10,6 +10,12 @@ paging windows and shard counts, with null and NaN cells and NaN
 comparison values and bounds: no index may serve a predicate the
 row check would decide differently.
 
+A long-lived executor plans from its memo of access paths; it must
+answer every query of a stream — tables growing and gaining indexes in
+between — with the rows and ``ExecutionStats`` of a fresh executor and
+of the oracle that planned every probe afresh
+(``tests/oracles/executor.py``).
+
 Roll-up caveat (docs/PERFORMANCE.md §8): the sharded facade's
 ``ProbeLog`` is bit-identical to the unsharded one, but its
 ``execution_stats`` sum *physical* per-shard work — a healthy scatter
@@ -19,9 +25,14 @@ assert ``queries_executed`` equality across sharding.
 
 from __future__ import annotations
 
+import copy
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db.errors import UnknownAttributeError
+from repro.db.executor import _MEMO_BOUND, Executor
 from repro.db.faults import FaultPolicy, FaultSpec
 from repro.db.predicates import Between, Eq, Ge, Gt, IsIn, Le, Lt, Ne, Predicate
 from repro.db.query import SelectionQuery
@@ -29,6 +40,7 @@ from repro.db.schema import RelationSchema
 from repro.db.sharded import ShardedWebDatabase, ShardFailure, shard_of
 from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
+from tests.oracles.executor import PlanEachProbeExecutor
 
 _SCHEMA = RelationSchema.build(
     "prop",
@@ -316,3 +328,94 @@ def test_without_partial_results_a_shard_outage_propagates(rows, n_shards, seed)
         raise AssertionError("the outage should have propagated")
     # An aborted scatter records nothing: the probe never completed.
     assert sharded.log.probes_issued == 0
+
+
+# A stream op: a query or count over pool predicates (each drawn either
+# as the pool's own object or as an equal copy), a bulk extend, or a
+# new hash index on a numeric column.  Limits of 0 and -1 window
+# nothing but may still flag truncation.
+_picks = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4)
+_stream_window = st.tuples(
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=5)),
+    st.integers(min_value=0, max_value=3),
+)
+stream_op_strategy = st.one_of(
+    st.tuples(st.just("query"), _picks, _stream_window),
+    st.tuples(st.just("count"), _picks),
+    st.tuples(st.just("extend"), rows_strategy),
+    st.tuples(st.just("index"), st.sampled_from(("N0", "N1"))),
+)
+
+
+def _answer(executor, op, query):
+    if op[0] == "count":
+        return executor.count(query)
+    limit, offset = op[2]
+    result = executor.execute(query, limit=limit, offset=offset)
+    return result.row_ids, result.rows, result.truncated
+
+
+@given(
+    rows=rows_strategy,
+    pool=st.lists(predicate_strategy(), min_size=4, max_size=4),
+    stream=st.lists(stream_op_strategy, min_size=1, max_size=25),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_long_lived_executor_answers_like_a_fresh_one(rows, pool, stream):
+    table = _row_table(rows, auto_index=True)
+    executor = Executor(table)
+    asked: list[tuple] = []
+    for op in stream:
+        if op[0] == "extend":
+            table.extend(op[1])
+        elif op[0] == "index":
+            table.create_hash_index(op[1])
+        else:
+            query = SelectionQuery.conjunction(
+                copy.copy(pool[i]) if equal_copy else pool[i] for i, equal_copy in op[1]
+            )
+            asked.append((op, query))
+        # After a write, every query asked so far is asked again.
+        for op_asked, query in asked if op[0] in ("extend", "index") else asked[-1:]:
+            before = executor.stats.snapshot()
+            answer = _answer(executor, op_asked, query)
+            for reference in (Executor(table), PlanEachProbeExecutor(table)):
+                assert answer == _answer(reference, op_asked, query)
+                assert executor.stats.delta(before) == reference.stats
+
+
+class TestAccessPathMemo:
+    def test_unknown_attribute_raises_before_any_counter_moves(self, toy_table):
+        executor = Executor(toy_table)
+        make = Eq("Make", "Ford")
+        executor.execute(SelectionQuery((make, Lt("Price", 9000))))
+        before = executor.stats.snapshot()
+        query = SelectionQuery((make, Eq("Colour", "red"), Lt("Price", 9000)))
+        with pytest.raises(UnknownAttributeError):
+            executor.execute(query)
+        with pytest.raises(UnknownAttributeError):
+            executor.count(query)
+        assert executor.stats == before
+
+    def test_an_unhashable_value_is_planned_like_the_oracle(self, toy_table):
+        # A list value cannot key the memo, and no index serves it.
+        query = SelectionQuery((Ne("Make", ["Ford"]), Ge("Year", 2001)))
+        executor = Executor(toy_table)
+        oracle = PlanEachProbeExecutor(toy_table)
+        for _ in range(2):
+            result = executor.execute(query, limit=2)
+            expected = oracle.execute(query, limit=2)
+            assert result.row_ids == expected.row_ids
+            assert result.truncated == expected.truncated
+            assert executor.count(query) == oracle.count(query)
+        assert executor.stats == oracle.stats
+        assert all(key.attribute != "Make" for key in executor._access_paths)
+
+    def test_memo_never_exceeds_its_bound(self, toy_table):
+        executor = Executor(toy_table)
+        oracle = PlanEachProbeExecutor(toy_table)
+        for price in range(0, 20 * (_MEMO_BOUND + 10), 20):
+            query = SelectionQuery((Eq("Make", "Ford"), Le("Price", price)))
+            assert executor.count(query) == oracle.count(query)
+            assert len(executor._access_paths) <= _MEMO_BOUND
+        assert executor.stats == oracle.stats

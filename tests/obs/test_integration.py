@@ -120,10 +120,12 @@ class TestSpanTree:
 
 
 class TestDisabledMode:
-    def test_disabled_run_records_nothing(self):
+    def test_disabled_run_records_nothing(self, monkeypatch):
         from repro.obs import OBS
 
-        OBS.disable()
+        # Switched off for this test only: the module's traced run may
+        # still have observability on.
+        monkeypatch.setattr(OBS, "enabled", False)
         OBS.reset()
         webdb = cardb_webdb(200, seed=5)
         model = build_model(

@@ -8,6 +8,7 @@ from posting row ids (docs/PERFORMANCE.md §11).
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from repro.db.schema import RelationSchema
@@ -39,6 +40,9 @@ def build_supertuple_row_loop(
                 continue
             if attribute.is_numeric and name in binners:
                 keyword_lists[name].append(binners[name].label(float(value)))
+            elif attribute.is_numeric and not -math.inf < value < math.inf:
+                # A NaN or ±inf cell gets its kind, binner or not.
+                keyword_lists[name].append(repr(float(value)))
             else:
                 keyword_lists[name].append(value)
     bags = {name: Bag(items) for name, items in keyword_lists.items()}

@@ -191,6 +191,29 @@ class TestNonFiniteCells:
             else:
                 assert keyword == repr(cell)
 
+    def test_a_column_with_no_finite_cell_has_one_keyword_per_kind(
+        self, toy_schema
+    ):
+        table = Table(toy_schema)
+        # Three distinct NaN objects: no two are equal, or even identical.
+        table.extend(("Ford", "Focus", float("nan"), 2001) for _ in range(3))
+        binners = build_binners(table)
+        assert "Price" not in binners
+        supertuple = build_supertuple(
+            AVPair("Make", "Ford"), table.rows(), toy_schema, binners
+        )
+        assert supertuple.bag("Price").counts() == {"nan": 3}
+
+    def test_infinite_cells_get_their_kind_without_a_binner(self, toy_schema):
+        columns = {
+            "Make": ["Ford"] * 4,
+            "Model": ["Focus"] * 4,
+            "Price": [INF, None, -INF, INF],
+            "Year": [2001] * 4,
+        }
+        keywords = keyword_columns(columns, toy_schema)
+        assert keywords["Price"] == ["inf", None, "-inf", "inf"]
+
     @non_finite_prices
     def test_sample_with_non_finite_cells_builds_a_model(self, cars, cells):
         settings = AIMQSettings(max_relaxation_level=3)

@@ -225,9 +225,6 @@ class TestCommands:
         try:
             code = main(argv)
         finally:
-            # trace and stats switch observability on for their run.
-            OBS.disable()
-            OBS.events.enabled = False
             OBS.reset()
         assert code == 2
         assert "k must be at least 1" in capsys.readouterr().err
@@ -248,7 +245,6 @@ class TestObservabilityFlags:
 
         OBS.reset()
         yield
-        OBS.disable()
         OBS.reset()
 
     def test_stats_emits_both_formats(self, capsys):
@@ -310,6 +306,37 @@ class TestObservabilityFlags:
         assert "engine.answer" in out
         assert "engine.base_query_mapping" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "cardb", "--rows", "300", "--sample", "120", "-k", "3"],
+            ["trace", "cardb", "--rows", "300", "--sample", "120", "Make=Ford"],
+            ["--trace", "query", "cardb", "--rows", "300", "--sample", "120",
+             "Make=Ford"],
+        ],
+        ids=["stats", "trace", "query-trace"],
+    )
+    def test_main_switches_observability_back_off(self, argv, capsys):
+        from repro.obs import OBS
+
+        assert OBS.enabled is False
+        assert main(argv) == 0
+        assert OBS.enabled is False
+
+    def test_each_trace_run_prints_only_its_own_answer_tree(self, capsys):
+        argv = [
+            "--trace", "query", "cardb", "--rows", "300", "--sample", "120",
+            "-k", "3", "Make=Ford",
+        ]
+        for _ in range(2):
+            assert main(argv) == 0
+            roots = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("engine.answer ")
+            ]
+            assert len(roots) == 1
+
     def test_metrics_out_flag_writes_prometheus(self, tmp_path, capsys):
         out = tmp_path / "metrics.prom"
         code = main(
@@ -346,9 +373,6 @@ class TestWideEventsCli:
 
         OBS.reset()
         yield
-        OBS.disable()
-        OBS.events.enabled = False
-        OBS.events.probe_events = False
         OBS.reset()
 
     def test_acceptance_invocation_yields_one_consistent_event(
@@ -483,9 +507,6 @@ class TestTraceCommand:
 
         OBS.reset()
         yield
-        OBS.disable()
-        OBS.events.enabled = False
-        OBS.events.probe_events = False
         OBS.reset()
 
     def test_trace_parser_defaults(self):
@@ -570,7 +591,6 @@ class TestStatsFamilies:
 
         OBS.reset()
         yield
-        OBS.disable()
         OBS.reset()
 
     def test_stats_includes_resilience_families(self, capsys):
