@@ -13,11 +13,6 @@ at entry, or on a known call path into the function):
 * ``time.sleep``;
 * file/network I/O — ``open``, ``Path.read_text``-family calls, and
   anything rooted in ``socket``/``subprocess``/``urllib``/``http``.
-
-The sharded facade intentionally serialises shard sub-probes under its
-accounting lock (the lock *is* the admission gate); those two sites
-carry inline suppressions with that rationale rather than weakening
-the rule.
 """
 
 from __future__ import annotations

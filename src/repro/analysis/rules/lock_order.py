@@ -12,7 +12,7 @@ The rule collects every ordered pair (held -> acquired) from
 
 then reports each pair that also occurs reversed.  Re-entrant
 acquisition of the *same* lock is not a pair — that is what RLock is
-for and the facade/shard design relies on it.
+for.
 """
 
 from __future__ import annotations

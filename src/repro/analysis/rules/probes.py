@@ -47,10 +47,6 @@ PRIVATE_DB_ATTRS = {
     # query exactly, with no ProbeLog entry.
     "_buckets",
     "_posting_sets",
-    # Sharded internals (same contract as the row internals): the
-    # sharded facade's shard list and global-id tables.
-    "_shards",
-    "_global_ids",
 }
 # ProbeLog's mutators.  ``record`` is a common method name, so it is
 # only flagged on a probe-log-shaped receiver; the other two are

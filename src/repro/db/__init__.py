@@ -38,7 +38,6 @@ from repro.db.predicates import (
 from repro.db.probe_cache import ProbeCache, canonical_probe_key
 from repro.db.query import SelectionQuery
 from repro.db.schema import Attribute, AttributeKind, RelationSchema
-from repro.db.sharded import ShardedWebDatabase, ShardFailure, ShardGuard
 from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase, ProbeLog
 
@@ -77,9 +76,6 @@ __all__ = [
     "RelationSchema",
     "SchemaError",
     "SelectionQuery",
-    "ShardFailure",
-    "ShardGuard",
-    "ShardedWebDatabase",
     "Table",
     "TypeMismatchError",
     "UnknownAttributeError",

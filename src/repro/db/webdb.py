@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Protocol
+from typing import Iterator
 
 from repro.db.errors import ProbeLimitExceededError
 from repro.db.executor import ExecutionStats, Executor, QueryResult
@@ -40,7 +40,6 @@ from repro.obs.runtime import OBS
 
 __all__ = [
     "ProbeLog",
-    "AccountedSource",
     "AccountingWindow",
     "AutonomousWebDatabase",
 ]
@@ -107,20 +106,6 @@ class ProbeLog:
         self.cache_hits = 0
 
 
-class AccountedSource(Protocol):
-    """Anything with a probe log and engine counters to window over.
-
-    Satisfied by :class:`AutonomousWebDatabase` and by the sharded
-    facade (:class:`~repro.db.sharded.ShardedWebDatabase`), whose
-    ``execution_stats`` roll up per-shard engine work.
-    """
-
-    log: ProbeLog
-
-    @property
-    def execution_stats(self) -> ExecutionStats: ...
-
-
 class AccountingWindow:
     """Delta view over a webdb's accounting since the window opened.
 
@@ -130,7 +115,7 @@ class AccountingWindow:
     """
 
     def __init__(
-        self, webdb: AccountedSource, log_start: ProbeLog,
+        self, webdb: "AutonomousWebDatabase", log_start: ProbeLog,
         stats_start: ExecutionStats,
     ) -> None:
         self._webdb = webdb
@@ -283,7 +268,9 @@ class AutonomousWebDatabase:
 
         ``limit`` may further reduce (never exceed) the facade's
         ``result_cap``; ``offset`` requests a later result page, the
-        way a Web form's "next page" link does.
+        way a Web form's "next page" link does.  A negative ``offset``
+        raises :class:`ValueError` before anything is looked up, charged
+        or drawn.
 
         With the probe cache enabled, a repeated probe (same canonical
         conjunction and result window) is served from the cache: the
@@ -304,6 +291,10 @@ class AutonomousWebDatabase:
         limit: int | None,
         offset: int,
     ) -> QueryResult:
+        # A caller bug, not a source fault: refuse it before the cache,
+        # the budget or the fault schedule can see the probe.
+        if offset < 0:
+            raise ValueError("offset cannot be negative")
         effective_limit = self.result_cap
         if limit is not None:
             effective_limit = (
@@ -314,8 +305,8 @@ class AutonomousWebDatabase:
             cached = cache.get_result(query, effective_limit, offset)
             if cached is not None:
                 self.log.record_cache_hit()
-                self._record_cache_metrics(hit=True)
-                self._emit_probe_event(
+                _record_cache_metrics(hit=True)
+                _emit_probe_event(
                     query, kind="query", rows=len(cached), from_cache=True
                 )
                 return replace(cached, from_cache=True)
@@ -334,15 +325,15 @@ class AutonomousWebDatabase:
             # A fault-truncated page is not the source's real answer;
             # caching it would replay the corruption on every repeat.
             evicted = cache.put_result(query, effective_limit, offset, result)
-            self._record_cache_metrics(hit=False, evicted=evicted)
+            _record_cache_metrics(hit=False, evicted=evicted)
         if OBS.enabled:
-            self._record_probe_metrics(query, kind="query", empty=not result)
+            _record_probe_metrics(query, kind="query", empty=not result)
             if result.truncated and self.result_cap is not None:
                 OBS.registry.counter(
                     "repro_db_result_cap_truncations_total",
                     "Probes whose result page was cut by the facade's cap.",
                 ).inc()
-        self._emit_probe_event(
+        _emit_probe_event(
             query,
             kind="query",
             rows=len(result),
@@ -370,8 +361,8 @@ class AutonomousWebDatabase:
             cached = cache.get_count(query)
             if cached is not None:
                 self.log.record_cache_hit()
-                self._record_cache_metrics(hit=True)
-                self._emit_probe_event(
+                _record_cache_metrics(hit=True)
+                _emit_probe_event(
                     query, kind="count", rows=cached, from_cache=True
                 )
                 return cached
@@ -381,12 +372,10 @@ class AutonomousWebDatabase:
         self.log.record_count(matches)
         if cache is not None:
             evicted = cache.put_count(query, matches)
-            self._record_cache_metrics(hit=False, evicted=evicted)
+            _record_cache_metrics(hit=False, evicted=evicted)
         if OBS.enabled:
-            self._record_probe_metrics(query, kind="count", empty=matches == 0)
-        self._emit_probe_event(
-            query, kind="count", rows=matches, from_cache=False
-        )
+            _record_probe_metrics(query, kind="count", empty=matches == 0)
+        _emit_probe_event(query, kind="count", rows=matches, from_cache=False)
         return matches
 
     # -- fault injection ---------------------------------------------------------
@@ -480,29 +469,6 @@ class AutonomousWebDatabase:
             raise ProbeLimitExceededError(
                 self.probe_budget, probes_issued=self.log.probes_issued
             )
-
-    def _record_cache_metrics(self, hit: bool, evicted: bool = False) -> None:
-        _record_cache_metrics(hit, evicted)
-
-    def _record_probe_metrics(
-        self, query: SelectionQuery, kind: str, empty: bool
-    ) -> None:
-        _record_probe_metrics(query, kind, empty)
-
-    def _emit_probe_event(
-        self,
-        query: SelectionQuery,
-        kind: str,
-        rows: int,
-        from_cache: bool,
-        truncated: bool = False,
-    ) -> None:
-        _emit_probe_event(query, kind, rows, from_cache, truncated)
-
-
-# The accounting helpers below are module-level so every facade flavour
-# (single-source and sharded) reports probes through the same metric
-# names and the same wide-event shape.
 
 
 def _record_cache_metrics(hit: bool, evicted: bool = False) -> None:

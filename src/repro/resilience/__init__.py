@@ -22,11 +22,9 @@ from repro.resilience.errors import (
 )
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.retry import Retrier, RetryConfig
-from repro.resilience.sharding import BreakerShardGuard, ShardResilience
 from repro.resilience.source import ResilientWebDatabase
 
 __all__ = [
-    "BreakerShardGuard",
     "BreakerState",
     "CircuitBreaker",
     "CircuitOpenError",
@@ -39,7 +37,6 @@ __all__ = [
     "ResilientWebDatabase",
     "Retrier",
     "RetryConfig",
-    "ShardResilience",
     "SkippedStep",
     "SystemClock",
     "VirtualClock",

@@ -1,26 +1,19 @@
-"""Index plans, full scans and sharded gathers agree (hypothesis).
+"""Index plans and full scans agree (hypothesis).
 
 Every index is exact for the predicates it serves, so an indexed
 table must answer like an unindexed one — same rows, same canonical
-ascending-row-id order, same truncation flags, same ProbeLog numbers
-— and a sharded facade like the unsharded one.  These properties
-drive that contract across every operator the facade supports
-(``=, !=, <, <=, >, >=, between, in``), on randomly generated tables,
-paging windows and shard counts, with null and NaN cells and NaN
-comparison values and bounds: no index may serve a predicate the
-row check would decide differently.
+ascending-row-id order, same truncation flags, same ProbeLog numbers.
+These properties drive that contract across every operator the facade
+supports (``=, !=, <, <=, >, >=, between, in``), on randomly generated
+tables and paging windows (limits of 0 and -1 included), with null and
+NaN cells and NaN comparison values and bounds: no index may serve a
+predicate the row check would decide differently.
 
 A long-lived executor plans from its memo of access paths; it must
 answer every query of a stream — tables growing and gaining indexes in
 between — with the rows and ``ExecutionStats`` of a fresh executor and
 of the oracle that planned every probe afresh
 (``tests/oracles/executor.py``).
-
-Roll-up caveat (docs/PERFORMANCE.md §8): the sharded facade's
-``ProbeLog`` is bit-identical to the unsharded one, but its
-``execution_stats`` sum *physical* per-shard work — a healthy scatter
-runs one engine query per shard — so these tests deliberately never
-assert ``queries_executed`` equality across sharding.
 """
 
 from __future__ import annotations
@@ -33,11 +26,9 @@ from hypothesis import strategies as st
 
 from repro.db.errors import UnknownAttributeError
 from repro.db.executor import _MEMO_BOUND, Executor
-from repro.db.faults import FaultPolicy, FaultSpec
 from repro.db.predicates import Between, Eq, Ge, Gt, IsIn, Le, Lt, Ne, Predicate
 from repro.db.query import SelectionQuery
 from repro.db.schema import RelationSchema
-from repro.db.sharded import ShardedWebDatabase, ShardFailure, shard_of
 from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
 from tests.oracles.executor import PlanEachProbeExecutor
@@ -135,8 +126,9 @@ query_strategy = st.builds(
     SelectionQuery,
     st.lists(predicate_strategy(), min_size=0, max_size=3).map(tuple),
 )
+# Limits of 0 and -1 window nothing but may still flag truncation.
 window_strategy = st.tuples(
-    st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=5)),
     st.integers(min_value=0, max_value=3),
 )
 
@@ -231,116 +223,12 @@ def _sorted_serves(table: Table, predicate: Predicate) -> bool:
     return index is not None and index.serves(predicate)
 
 
-@given(
-    rows=rows_strategy,
-    query=query_strategy,
-    window=window_strategy,
-    n_shards=st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=100, deadline=None)
-def test_sharded_facade_is_bit_identical_to_unsharded(
-    rows, query, window, n_shards
-):
-    limit, offset = window
-    table = _row_table(rows, auto_index=True)
-    unsharded = AutonomousWebDatabase(_row_table(rows, auto_index=True))
-    sharded = ShardedWebDatabase.partition(table, n_shards)
-    expected = unsharded.query(query, limit=limit, offset=offset)
-    gathered = sharded.query(query, limit=limit, offset=offset)
-    assert gathered.row_ids == expected.row_ids
-    assert gathered.rows == expected.rows
-    assert gathered.truncated == expected.truncated
-    assert sharded.count(query) == unsharded.count(query)
-    # One logical probe per call, bit-identical accounting — even though
-    # execution_stats roll up n_shards times the physical engine work.
-    assert sharded.log == unsharded.log
-    assert sharded.cardinality_hint() == unsharded.cardinality_hint()
-    assert sharded.form_options("C0") == unsharded.form_options("C0")
-
-
-@given(
-    rows=rows_strategy,
-    query=query_strategy,
-    n_shards=st.integers(min_value=2, max_value=4),
-    failing=st.integers(min_value=0, max_value=3),
-    seed=st.integers(min_value=0, max_value=999),
-)
-@settings(max_examples=75, deadline=None)
-def test_partial_results_drop_exactly_the_failing_shard(
-    rows, query, n_shards, failing, seed
-):
-    failing %= n_shards
-    unsharded = AutonomousWebDatabase(_row_table(rows, auto_index=True))
-    sharded = ShardedWebDatabase.partition(
-        _row_table(rows, auto_index=True),
-        n_shards,
-        partial_results=True,
-    )
-    # A seeded always-on outage window: every probe against the failing
-    # shard raises SourceUnavailableError, deterministically.
-    sharded.set_shard_fault_policy(
-        failing, FaultPolicy(FaultSpec(outages=((0, 10_000),)), seed=seed)
-    )
-    failures: list[ShardFailure] = []
-    sharded.set_failure_listener(failures.append)
-    expected = unsharded.query(query)
-    degraded = sharded.query(query)
-    lost = {
-        row_id
-        for row_id, row in enumerate(rows)
-        if shard_of(row, n_shards) == failing
-    }
-    assert degraded.row_ids == tuple(
-        row_id for row_id in expected.row_ids if row_id not in lost
-    )
-    assert set(degraded.row_ids).isdisjoint(lost)
-    assert [f.shard for f in failures] == [failing]
-    assert failures[0].stage == "query"
-    # The degraded gather is still one logical probe.
-    assert sharded.log.probes_issued == 1
-    # Counts degrade the same way: the failing shard's matches vanish.
-    expected_count = unsharded.count(query)
-    lost_matches = sum(1 for row_id in expected.row_ids if row_id in lost)
-    assert sharded.count(query) == expected_count - lost_matches
-
-
-@given(
-    rows=rows_strategy,
-    n_shards=st.integers(min_value=2, max_value=3),
-    seed=st.integers(min_value=0, max_value=999),
-)
-@settings(max_examples=25, deadline=None)
-def test_without_partial_results_a_shard_outage_propagates(rows, n_shards, seed):
-    sharded = ShardedWebDatabase.partition(
-        _row_table(rows, auto_index=True), n_shards
-    )
-    sharded.set_shard_fault_policy(
-        0, FaultPolicy(FaultSpec(outages=((0, 10_000),)), seed=seed)
-    )
-    query = SelectionQuery((Eq("C0", "x"),))
-    try:
-        sharded.query(query)
-    except Exception as error:  # noqa: BLE001 - asserting the exact type below
-        from repro.db.errors import SourceUnavailableError
-
-        assert isinstance(error, SourceUnavailableError)
-    else:
-        raise AssertionError("the outage should have propagated")
-    # An aborted scatter records nothing: the probe never completed.
-    assert sharded.log.probes_issued == 0
-
-
 # A stream op: a query or count over pool predicates (each drawn either
 # as the pool's own object or as an equal copy), a bulk extend, or a
-# new hash index on a numeric column.  Limits of 0 and -1 window
-# nothing but may still flag truncation.
+# new hash index on a numeric column.
 _picks = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=4)
-_stream_window = st.tuples(
-    st.one_of(st.none(), st.integers(min_value=-1, max_value=5)),
-    st.integers(min_value=0, max_value=3),
-)
 stream_op_strategy = st.one_of(
-    st.tuples(st.just("query"), _picks, _stream_window),
+    st.tuples(st.just("query"), _picks, window_strategy),
     st.tuples(st.just("count"), _picks),
     st.tuples(st.just("extend"), rows_strategy),
     st.tuples(st.just("index"), st.sampled_from(("N0", "N1"))),

@@ -1,12 +1,12 @@
-"""Stress tests: the state REP007 guards stays consistent under threads.
+"""Stress test: the state REP007 guards stays consistent under threads.
 
-Eight threads hammer exactly the mutators the concurrency lint pass
-forced under the accounting lock (``set_fault_policy``,
-``enable_probe_cache``/``disable_probe_cache``, ``attach_guards``,
-``set_failure_listener``) while other threads drive the locked
-query/count path.  The assertions are the invariants the lock
-protects: probe accounting matches the number of successful probes,
-and no probe ever observes a torn configuration.
+Server request threads share one facade.  Eight threads hammer exactly
+the mutators the concurrency lint pass forced under the facade's
+accounting lock (``set_fault_policy``,
+``enable_probe_cache``/``disable_probe_cache``) while other threads
+drive the locked query/count path.  The assertions are the invariants
+the lock protects: probe accounting matches the number of successful
+probes, and no probe ever observes a torn configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.db.predicates import Eq
 from repro.db.query import SelectionQuery
 from repro.db.schema import RelationSchema
-from repro.db.sharded import ShardedWebDatabase
 from repro.db.table import Table
 from repro.db.webdb import AutonomousWebDatabase
 
@@ -98,31 +97,3 @@ def test_webdb_accounting_survives_concurrent_reconfiguration():
     # double-counted.
     assert webdb.log.probes_issued + webdb.log.cache_hits == len(probes)
 
-
-def test_sharded_accounting_survives_concurrent_reconfiguration():
-    sharded = ShardedWebDatabase.partition(build_table(), 2)
-    query = SelectionQuery((Eq("Make", "toyota"),))
-    probes = []
-    probe_lock = threading.Lock()
-
-    def probe() -> None:
-        result = sharded.query(query)
-        assert len(result) == 3
-        with probe_lock:
-            probes.append(1)
-
-    def count() -> None:
-        assert sharded.count(query) == 3
-        with probe_lock:
-            probes.append(1)
-
-    def flip_cache() -> None:
-        sharded.enable_probe_cache(capacity=8)
-        sharded.disable_probe_cache()
-
-    def flip_listener() -> None:
-        sharded.set_failure_listener(None)
-
-    hammer([probe, count, flip_cache, flip_listener])
-    # The facade logs one logical probe (or cache hit) per call.
-    assert sharded.log.probes_issued + sharded.log.cache_hits == len(probes)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.db.errors import ProbeLimitExceededError
+from repro.db.faults import FaultPolicy, FaultSpec
 from repro.db.predicates import Eq
 from repro.db.query import SelectionQuery
-from repro.db.webdb import AutonomousWebDatabase
+from repro.db.webdb import AutonomousWebDatabase, ProbeLog
 
 
 class TestMetadata:
@@ -71,6 +72,32 @@ class TestResultCap:
         assert len(third) == len(toy_table) - 6 and not third.truncated
         seen = set(first.row_ids) | set(second.row_ids) | set(third.row_ids)
         assert seen == set(range(len(toy_table)))
+
+
+class TestNegativeOffset:
+    """A negative offset is a caller bug, refused before the probe counts."""
+
+    @pytest.mark.parametrize("probe_budget", [None, 0])
+    def test_refused_before_cache_budget_and_fault_draw(
+        self, toy_table, probe_budget
+    ):
+        # Every fault draw would fail and the zero budget would refuse:
+        # either would otherwise pass the caller bug off as a source
+        # fault or an exhausted budget.
+        policy = FaultPolicy(FaultSpec(transient_rate=1.0))
+        webdb = AutonomousWebDatabase(
+            toy_table,
+            probe_budget=probe_budget,
+            probe_cache_capacity=8,
+            fault_policy=policy,
+        )
+        injected = dict(policy.injected)
+        with pytest.raises(ValueError, match="offset cannot be negative"):
+            webdb.query(SelectionQuery.match_all(), offset=-1)
+        assert policy.injected == injected
+        assert policy.attempts == 0
+        assert webdb.probe_cache.misses == 0
+        assert webdb.log == ProbeLog()
 
 
 class TestProbeBudget:
