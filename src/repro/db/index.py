@@ -29,7 +29,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.db.predicates import (
     Between,
@@ -115,6 +119,24 @@ class HashIndex:
     def value_counts(self) -> dict[object, int]:
         """Histogram of indexed values; used by form-option discovery."""
         return {value: len(rows) for value, rows in self._buckets.items()}
+
+    def value_codes(self, n_rows: int) -> tuple[NDArray[np.intp], list[object]]:
+        """The column dictionary-coded: each row's value code, and the values.
+
+        Code ``c`` is the ``c``-th of :meth:`distinct_values`, the order
+        values first appear in; a row holding no indexed value (a null)
+        gets ``-1``.  ``n_rows`` must cover every indexed row id.
+        """
+        buckets = self._buckets
+        codes = np.full(n_rows, -1, dtype=np.intp)
+        if buckets:
+            row_ids = np.fromiter(
+                chain.from_iterable(buckets.values()), dtype=np.intp, count=len(self)
+            )
+            codes[row_ids] = np.repeat(
+                np.arange(len(buckets), dtype=np.intp), list(map(len, buckets.values()))
+            )
+        return codes, list(buckets)
 
     def serves(self, predicate: Predicate) -> bool:
         """True when this index can answer ``predicate`` *exactly*.

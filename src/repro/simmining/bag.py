@@ -32,13 +32,18 @@ class Bag:
 
     @classmethod
     def from_counts(cls, counts: Mapping[Hashable, int]) -> "Bag":
-        """Build from an explicit ``{keyword: occurrence_count}`` map."""
+        """Build from an explicit ``{keyword: occurrence_count}`` map.
+
+        Keywords keep the map's order; zero counts are dropped.
+        """
         bag = cls()
-        for keyword, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative count {count} for {keyword!r}")
-            if count:
-                bag._counts[keyword] = count
+        if min(counts.values(), default=1) <= 0:
+            for keyword, count in counts.items():
+                if count < 0:
+                    raise ValueError(f"negative count {count} for {keyword!r}")
+            counts = {keyword: count for keyword, count in counts.items() if count}
+        # Into an empty Counter, a mapping is copied by dict.update.
+        bag._counts.update(counts)
         bag._total = sum(bag._counts.values())
         return bag
 

@@ -11,7 +11,11 @@ The pairwise pass over the ``k`` distinct values of each of ``m``
 categorical attributes is the O(m·k²) cost the paper contrasts with
 ROCK's O(n³) (§6.1): it depends on the number of AV-pairs, not on the
 number of tuples.  Every pair of an attribute's grid is scored once, in
-``(i, j), i < j`` order over the values sorted by name.
+``(i, j), i < j`` order over the values sorted by name, from the
+value × keyword count matrices supertuple generation counted: a whole
+block of pairs per numpy operation, each operation the one the pair
+loop did per pair, in the same order, so every score is bit-identical
+to it (docs/PERFORMANCE.md §14).
 """
 
 from __future__ import annotations
@@ -22,16 +26,20 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.db.schema import RelationSchema
 from repro.db.table import Table
 from repro.obs.runtime import OBS, timed_phase
 from repro.simmining.avpair import AVPair
-from repro.simmining.bag import jaccard_bags, jaccard_sets
+from repro.simmining.bag import Bag
 from repro.simmining.supertuple import (
     SuperTuple,
+    bags_from_counts,
     build_binners,
-    keyword_columns,
-    supertuple_from_keywords,
+    code_table,
+    cooccurrence,
 )
 
 __all__ = [
@@ -88,6 +96,14 @@ class MiningTimings:
 
 #: Shared immutable view returned by ``pairs()`` for unknown attributes.
 _NO_PAIRS: Mapping[tuple[str, str], float] = MappingProxyType({})
+
+#: Most elements (rows × columns × keywords) one block of Σmin
+#: intersections holds: 8 MB of int64, however large the grid.
+_BLOCK_ELEMENTS = 1 << 20
+
+#: One bound attribute's grid: its supertuple values, and for every
+#: other attribute the value × keyword count matrix, rows in that order.
+_Grid = tuple[list[str], dict[str, NDArray[np.intp]]]
 
 
 class SimilarityModel:
@@ -182,6 +198,9 @@ class ValueSimilarityMiner:
         self.timings = MiningTimings()
         self._supertuples: dict[AVPair, SuperTuple] = {}
         self._supertuple_attributes: frozenset[str] = frozenset()
+        self._grids: dict[str, _Grid] = {}
+        # The table the last build read, and its write count then.
+        self._built_from: tuple[Table, int] | None = None
 
     # -- supertuple generation --------------------------------------------
 
@@ -191,10 +210,11 @@ class ValueSimilarityMiner:
         """Phase 1 (Table 2's "SuperTuple Generation").
 
         Builds one supertuple per sufficiently frequent AV-pair over the
-        given categorical attributes (default: all of them).  The
-        sample's keyword columns are derived once, inside the timed
-        phase, and each AV-pair's bags are counted from its posting's
-        row ids.
+        given categorical attributes (default: all of them).  Inside the
+        timed phase, the sample's keyword columns are coded once; then
+        each bound attribute's values are counted against every other
+        attribute's keywords into one matrix, whose rows are the bags.
+        The matrices are kept for :meth:`estimate`.
         """
         schema = table.schema
         names = tuple(attributes) if attributes is not None else schema.categorical_names
@@ -202,6 +222,7 @@ class ValueSimilarityMiner:
             if not schema.attribute(name).is_categorical:
                 raise ValueError(f"attribute {name!r} is not categorical")
         observing = OBS.enabled
+        min_count = self.config.min_value_count
         with timed_phase(
             "simmining.supertuples",
             histogram="repro_simmining_phase_seconds",
@@ -209,23 +230,39 @@ class ValueSimilarityMiner:
             labels={"phase": "supertuple"},
             n_attributes=len(names),
         ) as phase:
-            keywords = keyword_columns(
-                {attribute.name: table.column(attribute.name) for attribute in schema},
-                schema,
-                build_binners(table, self.config.numeric_bins),
-            )
+            coded = code_table(table, build_binners(table, self.config.numeric_bins))
             supertuples: dict[AVPair, SuperTuple] = {}
+            grids: dict[str, _Grid] = {}
             for name in names:
                 attribute_start = time.perf_counter() if observing else 0.0
-                index = table.hash_index(name) or table.create_hash_index(name)
-                for value in index.distinct_values():
-                    row_ids = index.lookup(value)
-                    if len(row_ids) < self.config.min_value_count:
+                codes, values = coded[name]
+                sizes = np.bincount(codes[codes >= 0], minlength=len(values))
+                eligible = np.flatnonzero(sizes >= min_count)
+                # One slot past the values, so a null's -1 reads -1.
+                renumber = np.full(len(values) + 1, -1, dtype=np.intp)
+                renumber[eligible] = np.arange(len(eligible))
+                rows = renumber[codes]
+                kept = [values[code] for code in eligible.tolist()]
+                counts: dict[str, NDArray[np.intp]] = {}
+                bags: dict[str, list[Bag]] = {}
+                for other, (keyword_codes, keywords) in coded.items():
+                    if other == name:
                         continue
-                    avpair = AVPair(name, value)
-                    supertuples[avpair] = supertuple_from_keywords(
-                        avpair, row_ids, keywords
+                    matrix, firsts = cooccurrence(
+                        rows, len(kept), keyword_codes, len(keywords)
                     )
+                    counts[other] = matrix
+                    bags[other] = bags_from_counts(matrix, firsts, keywords)
+                for row, (value, size) in enumerate(
+                    zip(kept, sizes[eligible].tolist())
+                ):
+                    avpair = AVPair(name, value)
+                    supertuples[avpair] = SuperTuple(
+                        avpair=avpair,
+                        bags={other: column[row] for other, column in bags.items()},
+                        answerset_size=size,
+                    )
+                grids[name] = (kept, counts)
                 if observing:
                     OBS.registry.histogram(
                         "repro_simmining_supertuple_build_seconds",
@@ -241,6 +278,8 @@ class ValueSimilarityMiner:
             ).inc(len(supertuples))
         self._supertuples = supertuples
         self._supertuple_attributes = frozenset(names)
+        self._grids = grids
+        self._built_from = (table, table.writes)
         self.timings.supertuple_seconds += phase.elapsed_seconds
         return supertuples
 
@@ -251,15 +290,21 @@ class ValueSimilarityMiner:
     ) -> SimilarityModel:
         """Phase 2 (Table 2's "Similarity Estimation"): full VSim model.
 
-        Supertuples are rebuilt automatically when the requested
-        attribute set is not covered by the set
-        :meth:`build_supertuples` last ran with — previously a stale
-        build was silently reused and never-built attributes produced
-        no pairs at all.
+        Reuses the last :meth:`build_supertuples` only when it read this
+        very table, with no write since, and covered every requested
+        attribute; otherwise the supertuples are rebuilt first, so a
+        build of another table, or of this one before a write, is never
+        scored.
         """
         schema = table.schema
         names = tuple(attributes) if attributes is not None else schema.categorical_names
-        if not set(names) <= self._supertuple_attributes:
+        built_from = self._built_from
+        if (
+            built_from is None
+            or built_from[0] is not table
+            or built_from[1] != table.writes
+            or not set(names) <= self._supertuple_attributes
+        ):
             self.build_supertuples(table, names)
         config = self.config
         pair_evaluations = 0
@@ -271,33 +316,30 @@ class ValueSimilarityMiner:
             n_attributes=len(names),
         ) as phase:
             model = SimilarityModel(names)
-            by_attribute: dict[str, list[SuperTuple]] = {name: [] for name in names}
-            for avpair, supertuple in self._supertuples.items():
-                if avpair.attribute in by_attribute:
-                    by_attribute[avpair.attribute].append(supertuple)
             for name in names:
-                supertuples = sorted(
-                    by_attribute[name], key=lambda st: st.avpair.value
+                values, counts = self._grids[name]
+                order = np.asarray(
+                    sorted(range(len(values)), key=values.__getitem__), dtype=np.intp
                 )
-                for supertuple in supertuples:
-                    model.register_value(name, supertuple.avpair.value)
+                ordered = [values[i] for i in order.tolist()]
+                for value in ordered:
+                    model.register_value(name, value)
                 weights = self._attribute_weights(schema, bound=name)
                 # Zero-weight attributes add exactly 0 to every pair;
                 # filtering them here (in iteration order) keeps the
                 # accumulation order of the full weight table.
-                weight_items = tuple(
-                    (attr, weight)
-                    for attr, weight in weights.items()
-                    if weight != 0.0
-                )
-                pair_evaluations += len(supertuples) * (len(supertuples) - 1) // 2
-                for value_a, value_b, score in _evaluate_pairs(
-                    supertuples,
-                    weight_items,
-                    bag_semantics=config.bag_semantics,
-                    store_threshold=config.store_threshold,
+                terms = []
+                for attr, weight in weights.items():
+                    if weight != 0.0:
+                        matrix = counts[attr][order]
+                        if not config.bag_semantics:
+                            matrix = (matrix > 0).astype(np.intp)
+                        terms.append((matrix, weight))
+                pair_evaluations += len(values) * (len(values) - 1) // 2
+                for i, j, score in _score_grid(
+                    terms, len(values), config.store_threshold
                 ):
-                    model.record(name, value_a, value_b, score)
+                    model.record(name, ordered[i], ordered[j], score)
         if OBS.enabled:
             OBS.registry.counter(
                 "repro_simmining_pair_evaluations_total",
@@ -334,32 +376,49 @@ class ValueSimilarityMiner:
         return {n: uniform for n in names}
 
 
-def _evaluate_pairs(
-    supertuples: Sequence[SuperTuple],
-    weight_items: Sequence[tuple[str, float]],
-    bag_semantics: bool,
+def _score_grid(
+    terms: Sequence[tuple[NDArray[np.intp], float]],
+    n_values: int,
     store_threshold: float,
-) -> list[tuple[str, str, float]]:
-    """Score every pair ``(i, j), i < j`` of one attribute's supertuples.
+) -> list[tuple[int, int, float]]:
+    """Score every pair ``(i, j), i < j`` of one attribute's grid.
 
-    Returns the ``(value_a, value_b, score)`` triples that clear the
-    store threshold, in grid order.
+    ``terms`` pairs each weighted attribute's count matrix (rows in grid
+    order; 0/1 for set semantics) with its weight, in weight order.
+    Per pair this is the bag-Jaccard loop, operation for operation: the
+    integer Σmin intersection, the union from the row totals, one
+    division (1.0 when both bags are empty), the weighted terms added
+    in order from 0.0, then ``min(·, 1.0)``.  Rows are taken in blocks
+    of at most ``_BLOCK_ELEMENTS`` intersection elements.  Returns the
+    ``(i, j, score)`` triples that clear the store threshold, in grid
+    order, scores as built-in floats.
     """
-    stored: list[tuple[str, str, float]] = []
-    for i, left in enumerate(supertuples):
-        for j in range(i + 1, len(supertuples)):
-            right = supertuples[j]
-            score = 0.0
-            for attribute, weight in weight_items:
-                left_bag = left.bag(attribute)
-                right_bag = right.bag(attribute)
-                if bag_semantics:
-                    score += weight * jaccard_bags(left_bag, right_bag)
-                else:
-                    score += weight * jaccard_sets(
-                        left_bag.as_set(), right_bag.as_set()
-                    )
-            score = min(score, 1.0)
-            if score >= store_threshold and score > 0.0:
-                stored.append((left.avpair.value, right.avpair.value, score))
+    widest = max((matrix.shape[1] for matrix, _ in terms), default=0)
+    step = max(1, _BLOCK_ELEMENTS // max(1, n_values * widest))
+    totals = [matrix.sum(axis=1) for matrix, _ in terms]
+    stored: list[tuple[int, int, float]] = []
+    for start in range(0, n_values - 1, step):
+        stop = min(start + step, n_values - 1)
+        # Rows start..stop-1 against columns start+1..n_values-1; local
+        # (r, c) is the pair (start + r, start + 1 + c), above the
+        # diagonal when c >= r.
+        score = np.zeros((stop - start, n_values - start - 1))
+        for (matrix, weight), total in zip(terms, totals):
+            intersection = np.minimum(
+                matrix[start:stop, None, :], matrix[None, start + 1 :, :]
+            ).sum(axis=2)
+            union = total[start:stop, None] + total[None, start + 1 :] - intersection
+            similarity = np.ones(union.shape)  # SimJ(empty, empty) = 1
+            np.divide(intersection, union, out=similarity, where=union > 0)
+            score += weight * similarity
+        np.minimum(score, 1.0, out=score)
+        above = np.arange(score.shape[1]) >= np.arange(score.shape[0])[:, None]
+        rows, columns = np.nonzero(above & (score >= store_threshold) & (score > 0.0))
+        stored.extend(
+            zip(
+                (rows + start).tolist(),
+                (columns + start + 1).tolist(),
+                score[rows, columns].tolist(),
+            )
+        )
     return stored

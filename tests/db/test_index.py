@@ -94,6 +94,16 @@ class TestHashIndex:
         with pytest.raises(TypeError):
             self.make().candidate_set(Lt("Make", "M"))
 
+    def test_value_codes_number_values_in_first_appearance_order(self):
+        index = self.make()
+        index.add(None, 4)
+        codes, values = index.value_codes(6)
+        assert values == ["Ford", "Toyota", "Honda"]
+        # Rows 4 (a null) and 5 (never added) hold no indexed value.
+        assert codes.tolist() == [0, 1, 0, 2, -1, -1]
+        empty_codes, no_values = HashIndex("A").value_codes(2)
+        assert empty_codes.tolist() == [-1, -1] and no_values == []
+
 
 class TestSortedIndex:
     def make(self) -> SortedIndex:

@@ -4,6 +4,7 @@ from types import MappingProxyType
 
 import pytest
 
+from repro.datasets.cardb import generate_cardb
 from repro.simmining.estimator import (
     SimilarityMinerConfig,
     SimilarityModel,
@@ -219,3 +220,24 @@ class TestStaleSupertuples:
         supertuples = miner.build_supertuples(toy_table)
         miner.estimate(toy_table, attributes=("Make",))
         assert miner._supertuples is supertuples
+
+    def test_estimate_rebuilds_for_another_table(self):
+        first, second = generate_cardb(400, seed=1), generate_cardb(400, seed=2)
+        miner = ValueSimilarityMiner()
+        miner.build_supertuples(first)
+        model = miner.estimate(second, attributes=("Make",))
+        fresh = ValueSimilarityMiner().mine(second, attributes=("Make",))
+        # Previously the build of the first table was scored.
+        assert model.known_values("Make") == fresh.known_values("Make")
+        assert list(model.pairs("Make").items()) == list(fresh.pairs("Make").items())
+
+    def test_estimate_rebuilds_after_a_write(self):
+        table = generate_cardb(400, seed=1)
+        miner = ValueSimilarityMiner()
+        miner.build_supertuples(table)
+        table.extend(generate_cardb(200, seed=2).rows())
+        model = miner.estimate(table, attributes=("Make",))
+        fresh = ValueSimilarityMiner().mine(table, attributes=("Make",))
+        # Previously the build from before the extend was scored.
+        assert model.known_values("Make") == fresh.known_values("Make")
+        assert list(model.pairs("Make").items()) == list(fresh.pairs("Make").items())

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import AIMQSettings
@@ -13,8 +14,9 @@ from repro.simmining.supertuple import (
     NumericBinner,
     build_binners,
     build_supertuple,
-    keyword_columns,
+    code_keywords,
 )
+from tests.oracles.supertuple import keyword_columns
 
 
 class TestAVPair:
@@ -141,6 +143,68 @@ class TestKeywordColumns:
         assert keywords["Year"] is columns["Year"]
 
 
+class TestCodeKeywords:
+    def test_label_computed_once_per_bin(self, monkeypatch):
+        labelled = []
+        bin_label = NumericBinner.bin_label
+
+        def counting_bin_label(binner, index):
+            labelled.append(index)
+            return bin_label(binner, index)
+
+        monkeypatch.setattr(NumericBinner, "bin_label", counting_bin_label)
+        binner = NumericBinner("Price", 0, 10000, 4)
+        column = [7000, 7000.0, None, 100, 9999, 7400.5, float("nan"), 7000]
+        assert _decoded(column, True, binner) == [
+            "5000-7500",
+            "5000-7500",
+            None,
+            "0-2500",
+            "7500-10000",
+            "5000-7500",
+            "nan",
+            "5000-7500",
+        ]
+        assert labelled == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "binner",
+        [
+            NumericBinner("P", 0, 100, 4),
+            NumericBinner("P", 5, 5, 3),
+            NumericBinner("P", -3.5, 99.5, 7),
+            NumericBinner("P", 0.1, 0.7, 3),
+        ],
+    )
+    def test_bin_indices_match_bin_index(self, binner):
+        values = [-10, binner.low, 0.1, 0.3, 0.5, 25, 33.3, 50, 74.99, 75]
+        values += [99, binner.high, 1e9, math.nextafter(binner.high, -math.inf)]
+        indices = binner.bin_indices(np.array(values, dtype=float))
+        assert indices.tolist() == [binner.bin_index(float(v)) for v in values]
+
+    def test_bins_with_one_label_share_a_code(self):
+        # Six significant digits print every bin of this extent alike.
+        binner = NumericBinner("P", 1e6, 1e6 + 4, 10)
+        codes, keywords = code_keywords([1e6, 1e6 + 2, 1e6 + 3.9], True, binner)
+        assert keywords == ["1e+06-1e+06"]
+        assert codes.tolist() == [0, 0, 0]
+
+    def test_matches_the_keyword_column_oracle(self, toy_schema):
+        columns = {
+            "Make": ["Ford", None, "Kia", "Ford"],
+            "Model": ["Focus", "Rio", None, "Focus"],
+            "Price": [7000, INF, None, 10],
+            "Year": [2001, 2001.0, NAN, None],
+        }
+        binners = {"Price": NumericBinner("Price", 10, 7000, 3)}
+        oracle = keyword_columns(columns, toy_schema, binners)
+        for attribute in toy_schema:
+            name = attribute.name
+            assert _decoded(
+                columns[name], attribute.is_numeric, binners.get(name)
+            ) == list(oracle[name])
+
+
 NAN, INF = float("nan"), float("inf")
 non_finite_prices = pytest.mark.parametrize(
     "cells",
@@ -163,9 +227,14 @@ def _with_prices(table, cells):
     return copy
 
 
+def _decoded(column, numeric, binner=None):
+    """``column``'s keywords as :func:`code_keywords` codes them."""
+    codes, keywords = code_keywords(column, numeric, binner)
+    return [None if code < 0 else keywords[code] for code in codes.tolist()]
+
+
 def _price_keywords(table, binners):
-    columns = {name: table.column(name) for name in table.schema.attribute_names}
-    return keyword_columns(columns, table.schema, binners)["Price"]
+    return _decoded(table.column("Price"), True, binners.get("Price"))
 
 
 class TestNonFiniteCells:
@@ -211,8 +280,7 @@ class TestNonFiniteCells:
             "Price": [INF, None, -INF, INF],
             "Year": [2001] * 4,
         }
-        keywords = keyword_columns(columns, toy_schema)
-        assert keywords["Price"] == ["inf", None, "-inf", "inf"]
+        assert _decoded(columns["Price"], True) == ["inf", None, "-inf", "inf"]
 
     @non_finite_prices
     def test_sample_with_non_finite_cells_builds_a_model(self, cars, cells):
