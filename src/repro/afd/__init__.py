@@ -13,7 +13,7 @@ from repro.afd.partition import (
     partition_product,
     partition_single,
 )
-from repro.afd.tane import TaneConfig, TaneMiner, bin_numeric_column, mine_dependencies
+from repro.afd.tane import TaneConfig, TaneMiner, mine_dependencies
 
 __all__ = [
     "AFD",
@@ -22,7 +22,6 @@ __all__ = [
     "StrippedPartition",
     "TaneConfig",
     "TaneMiner",
-    "bin_numeric_column",
     "dependency_error",
     "key_error",
     "mine_dependencies",

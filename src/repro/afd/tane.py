@@ -22,15 +22,15 @@ but flagged, so callers can filter.
 Numeric attributes participate with their raw values by default, which
 mirrors the paper; an optional equal-width binning preprocessor is
 available because it is a natural ablation (binned numerics produce
-denser dependency structure).
+denser dependency structure).  It bins with the supertuple binners
+(:func:`~repro.simmining.supertuple.build_binners`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -41,14 +41,14 @@ from repro.afd.partition import (
     partition_product,
     partition_single,
 )
-from repro.db.schema import RelationSchema
 from repro.db.table import Table
 from repro.obs.runtime import OBS
+from repro.simmining.supertuple import NumericBinner, build_binners
 
 if TYPE_CHECKING:
     from repro.obs.tracing import Span
 
-__all__ = ["TaneConfig", "TaneMiner", "mine_dependencies", "bin_numeric_column"]
+__all__ = ["TaneConfig", "TaneMiner", "mine_dependencies", "tane_columns"]
 
 
 @dataclass(frozen=True)
@@ -118,45 +118,36 @@ class TaneConfig:
             raise ValueError("numeric_bins cannot be negative")
 
 
-def bin_numeric_column(
-    values: Sequence[object], n_bins: int
-) -> list[object]:
-    """Equal-width bin a numeric column; nulls, NaN and ±inf pass through.
+def tane_columns(table: Table, numeric_bins: int) -> dict[str, Sequence[object]]:
+    """``table``'s columns as TANE partitions them.
 
-    Returns bin labels (ints) for finite values, with the bin edges
-    spanning the finite values only; a constant column maps to a single
-    bin.  A non-finite cell keeps its own value as its label, so it
-    groups as it would unbinned.
+    With ``numeric_bins`` positive, each numeric column is equal-width
+    binned by its :func:`~repro.simmining.supertuple.build_binners`
+    binner: a finite cell's label is its bin index, and a None, NaN or
+    ±inf cell keeps its own value, so it groups as it would unbinned.
+    A column with no finite cell has no binner and stays raw.
     """
-    if n_bins <= 0:
-        raise ValueError("n_bins must be positive")
-    inf = math.inf
-    # -inf < v < inf is False exactly for NaN and ±inf.
-    finite = [
-        v for v in values if v is not None and -inf < v < inf  # type: ignore[operator]
-    ]
-    if not finite:
-        return list(values)
-    low = min(finite)  # type: ignore[type-var]
-    high = max(finite)  # type: ignore[type-var]
-    if low == high:
-        return [
-            0 if v is not None and -inf < v < inf else v  # type: ignore[operator]
-            for v in values
-        ]
-    width = (high - low) / n_bins  # type: ignore[operator]
-    binned: list[object] = []
-    for value in values:
-        if value is None:
-            binned.append(None)
-            continue
-        try:
-            index = int((value - low) / width)  # type: ignore[operator]
-        except (ValueError, OverflowError):  # int() of NaN, of ±inf
-            binned.append(value)
-            continue
-        binned.append(min(index, n_bins - 1))
-    return binned
+    binners: dict[str, NumericBinner] = (
+        build_binners(table, numeric_bins) if numeric_bins else {}
+    )
+    columns: dict[str, Sequence[object]] = {}
+    for name in table.schema.attribute_names:
+        column = table.column(name)
+        binner = binners.get(name)
+        columns[name] = column if binner is None else _bin_labels(column, binner)
+    return columns
+
+
+def _bin_labels(column: Sequence[object], binner: NumericBinner) -> list[object]:
+    values = np.array(column, dtype=np.float64)  # None reads as NaN
+    finite = np.isfinite(values)
+    indices: list[object] = binner.bin_indices(values[finite]).tolist()
+    if len(indices) == len(column):
+        return indices
+    labels = list(column)
+    for position, index in zip(np.flatnonzero(finite).tolist(), indices):
+        labels[position] = index
+    return labels
 
 
 def _null_error(partition: StrippedPartition) -> float:
@@ -183,22 +174,10 @@ class TaneMiner:
 
     def mine(self, table: Table) -> DependencyModel:
         """Run the levelwise search over ``table`` and return the model."""
-        schema = table.schema
-        columns = {
-            attribute.name: table.column(attribute.name) for attribute in schema
-        }
-        return self.mine_columns(schema, columns, n_rows=len(table))
-
-    def mine_columns(
-        self,
-        schema: RelationSchema,
-        columns: Mapping[str, Sequence[Hashable]],
-        n_rows: int,
-    ) -> DependencyModel:
-        """Mine from raw columns (lets tests drive the miner directly)."""
         config = self.config
-        names = schema.attribute_names
-        prepared = self._prepare_columns(schema, columns)
+        names = table.schema.attribute_names
+        n_rows = len(table)
+        columns = tane_columns(table, config.numeric_bins)
 
         model = DependencyModel(names, sample_size=n_rows)
         if n_rows == 0:
@@ -210,7 +189,7 @@ class TaneMiner:
             self._pruned = {}
             cache: dict[tuple[int, ...], StrippedPartition] = {}
             for index, name in enumerate(names):
-                cache[(index,)] = partition_single(prepared[name], n_rows)
+                cache[(index,)] = partition_single(columns[name], n_rows)
 
             # Consequents for which the majority-value predictor is already
             # within the threshold (see filter_trivial_consequents).
@@ -252,22 +231,6 @@ class TaneMiner:
         return model
 
     # -- internals ------------------------------------------------------------
-
-    def _prepare_columns(
-        self,
-        schema: RelationSchema,
-        columns: Mapping[str, Sequence[Hashable]],
-    ) -> dict[str, Sequence[Hashable]]:
-        prepared: dict[str, Sequence[Hashable]] = {}
-        for attribute in schema:
-            column = columns[attribute.name]
-            if attribute.is_numeric and self.config.numeric_bins:
-                prepared[attribute.name] = bin_numeric_column(
-                    column, self.config.numeric_bins
-                )
-            else:
-                prepared[attribute.name] = column
-        return prepared
 
     @staticmethod
     def _partition_for(

@@ -39,24 +39,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from typing import Sequence
 
-from repro.core.config import AIMQSettings
-from repro.core.pipeline import AIMQModel, build_model
-from repro.core.parser import parse_query
+from repro.core.pipeline import AIMQModel
+from repro.core.parser import build_query, parse_binding
 from repro.core.query import ImpreciseQuery
-from repro.core.store import StoreError, load_model, save_model
-from repro.datasets.cardb import cardb_webdb, generate_cardb
-from repro.datasets.census import census_webdb, generate_censusdb
+from repro.core.store import StoreError, save_model
+from repro.datasets.cardb import generate_cardb
+from repro.datasets.census import generate_censusdb
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.db.csvio import write_csv
 from repro.db.errors import DatabaseError
 from repro.db.faults import FaultPolicy, FaultSpec
 from repro.db.webdb import AutonomousWebDatabase
 from repro.evalx import (
-    census_settings,
     format_efficiency,
     format_fig3,
     format_fig4,
@@ -84,41 +81,24 @@ from repro.obs import (
     to_prometheus,
     write_chrome_trace,
 )
-from repro.resilience import ResilienceError, ResiliencePolicy, ResilientWebDatabase
+from repro.resilience import (
+    ResilienceError,
+    ResiliencePolicy,
+    ResilientWebDatabase,
+    preregister_resilience_metrics,
+)
 from repro.serve import AIMQServer, ServeConfig, preregister_serve_metrics
+from repro.serve.state import dataset_webdb, load_or_build_model
 
 __all__ = ["main", "build_parser"]
 
 
-def _dataset_webdb(name: str, rows: int, seed: int) -> AutonomousWebDatabase:
-    if name == "cardb":
-        return cardb_webdb(rows, seed=seed)
-    if name == "censusdb":
-        return census_webdb(rows, seed=seed)[0]
-    raise ValueError(f"unknown dataset {name!r}")
-
-
-def _dataset_settings(name: str) -> AIMQSettings:
-    if name == "censusdb":
-        return census_settings(error_threshold=0.3)
-    return AIMQSettings(max_relaxation_level=3)
-
-
-def _parse_binding(text: str) -> tuple[str, object]:
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(
-            f"constraint {text!r} must look like Attribute=Value"
-        )
-    attribute, _, raw = text.partition("=")
-    value: object = raw
-    try:
-        value = int(raw)
-    except ValueError:
-        try:
-            value = float(raw)
-        except ValueError:
-            pass
-    return attribute, value
+def _constraint_query(
+    args: argparse.Namespace, webdb: AutonomousWebDatabase
+) -> ImpreciseQuery:
+    """The query given by ``--text`` or the ``Attr=Value`` constraints."""
+    bindings = dict(map(parse_binding, args.constraints))
+    return build_query(webdb.schema, getattr(args, "text", None), bindings)
 
 
 # -- commands ---------------------------------------------------------------
@@ -139,21 +119,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mine_model(args: argparse.Namespace) -> tuple[AutonomousWebDatabase, AIMQModel]:
-    webdb = _dataset_webdb(args.dataset, args.rows, args.seed)
-    if getattr(args, "model", None):
-        return webdb, load_model(args.model, webdb.schema)
-    model = build_model(
-        webdb,
-        sample_size=args.sample,
-        rng=random.Random(args.seed + 1),
-        settings=_dataset_settings(args.dataset),
-    )
-    return webdb, model
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
-    webdb, model = _mine_model(args)
+    webdb = dataset_webdb(args.dataset, args.rows, args.seed)
+    model = load_or_build_model(
+        webdb, args.dataset, args.sample, args.seed, args.model
+    )
     print(model.ordering.describe())
     print()
     print(model.dependencies.summary())
@@ -173,16 +143,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    webdb, model = _mine_model(args)
-    if args.text:
-        if args.constraints:
-            raise ValueError("use either --text or Attr=Value pairs, not both")
-        query = parse_query(args.text, relation=webdb.schema.name)
-    elif args.constraints:
-        bindings = dict(_parse_binding(text) for text in args.constraints)
-        query = ImpreciseQuery.like(webdb.schema.name, **bindings)
-    else:
-        raise ValueError("provide --text or at least one Attr=Value pair")
+    webdb = dataset_webdb(args.dataset, args.rows, args.seed)
+    query = _constraint_query(args, webdb)
+    model = load_or_build_model(
+        webdb, args.dataset, args.sample, args.seed, args.model
+    )
     if args.fault_rate > 0.0:
         webdb.set_fault_policy(
             FaultPolicy(
@@ -257,67 +222,18 @@ def _demo_query(
     return ImpreciseQuery.like(schema.name, **bindings)
 
 
-def _preregister_stats_families() -> None:
-    """Zero-init the resilience metric families for ``repro stats``.
-
-    A healthy run never trips a retry or opens the breaker, so those
-    families would be absent from the dump exactly when a reader most
-    wants to confirm they are quiet.  Register one concrete zero
-    series per family (a bare family with no series would violate the
-    snapshot schema).
-    """
-    registry = OBS.registry
-    registry.counter(
-        "repro_resilience_attempts_total",
-        "Guarded probe attempts, by outcome.",
-        labels=("outcome",),
-    ).labels(outcome="ok").inc(0)
-    registry.counter(
-        "repro_resilience_retries_total",
-        "Retry sleeps performed, by transient error kind.",
-        labels=("error",),
-    ).labels(error="TransientSourceError").inc(0)
-    registry.counter(
-        "repro_resilience_retry_exhaustions_total",
-        "Guarded calls whose transient failures "
-        "outlasted the retry allowance.",
-    ).inc(0)
-    registry.counter(
-        "repro_resilience_deadline_refusals_total",
-        "Backoff sleeps refused by a deadline budget, by scope.",
-        labels=("scope",),
-    ).labels(scope="probe").inc(0)
-    registry.histogram(
-        "repro_resilience_backoff_seconds",
-        "Backoff sleep durations before retrying a probe.",
-        buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0),
-    ).unlabelled()
-    registry.counter(
-        "repro_resilience_breaker_rejections_total",
-        "Guarded calls refused because the circuit was open.",
-    ).inc(0)
-    registry.counter(
-        "repro_resilience_breaker_transitions_total",
-        "Circuit-breaker state transitions.",
-        labels=("from_state", "to_state"),
-    ).labels(from_state="closed", to_state="open").inc(0)
-    registry.counter(
-        "repro_resilience_skipped_steps_total",
-        "Relaxation work abandoned after resilience gave up, "
-        "by stage and error kind.",
-        labels=("stage", "error"),
-    ).labels(stage="relaxation", error="TransientSourceError").inc(0)
-    # The serving families too: a stats dump should show the server-side
-    # metric shapes even when no server ran in this process.
-    preregister_serve_metrics(registry)
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run build + one query with observability on; dump the snapshot."""
     OBS.reset()
     OBS.enable()
-    _preregister_stats_families()
-    webdb, model = _mine_model(args)
+    # A healthy run trips no retry and serves no request: give those
+    # families zero series so the dump shows them quiet.
+    preregister_resilience_metrics(OBS.registry)
+    preregister_serve_metrics(OBS.registry)
+    webdb = dataset_webdb(args.dataset, args.rows, args.seed)
+    model = load_or_build_model(
+        webdb, args.dataset, args.sample, args.seed, args.model
+    )
     # Answer through the resilience wrapper so every layer's metric
     # families (attempt outcomes, retries, breaker state) appear in the
     # dump.
@@ -376,11 +292,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     OBS.reset()
     OBS.enable()
     OBS.events.enabled = True
-    webdb, model = _mine_model(args)
-    if args.constraints:
-        bindings = dict(_parse_binding(text) for text in args.constraints)
-        query = ImpreciseQuery.like(webdb.schema.name, **bindings)
-    else:
+    webdb = dataset_webdb(args.dataset, args.rows, args.seed)
+    query = _constraint_query(args, webdb) if args.constraints else None
+    model = load_or_build_model(
+        webdb, args.dataset, args.sample, args.seed, args.model
+    )
+    if query is None:
         query = _demo_query(webdb, model)
     resilience = ResiliencePolicy() if args.resilient else None
     engine = model.engine(webdb, resilience=resilience)

@@ -18,16 +18,29 @@ Grammar (case-insensitive keywords)::
 
 Bare values are parsed as numbers when they look numeric, strings
 otherwise; quoting forces a string (``Year like '1985'``).
+
+The command line and the server take the same query in two forms, text
+or ``Attr=Value`` likeness constraints (``Model=Camry Price=10000``).
+:func:`parse_binding` reads one constraint and :func:`build_query`
+turns either form into a query checked against the schema; ``repro
+query``, ``repro trace`` and ``/query`` all call them.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Mapping
 
 from repro.core.query import ImpreciseQuery, LikeConstraint, PreciseConstraint
-from repro.db import QueryError, parse_op
+from repro.db import QueryError, RelationSchema, parse_op
 
-__all__ = ["parse_query", "ParseError"]
+__all__ = [
+    "parse_query",
+    "ParseError",
+    "build_query",
+    "coerce_value",
+    "parse_binding",
+]
 
 
 class ParseError(QueryError):
@@ -65,10 +78,8 @@ def _split_conjunction(text: str) -> list[str]:
     return [part.strip() for part in parts if part.strip()]
 
 
-def _parse_value(raw: str) -> object:
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
-        return raw[1:-1]
+def coerce_value(raw: str) -> object:
+    """A bare value as an int, else a float, else the string itself."""
     try:
         return int(raw)
     except ValueError:
@@ -77,6 +88,13 @@ def _parse_value(raw: str) -> object:
         return float(raw)
     except ValueError:
         return raw
+
+
+def _parse_value(raw: str) -> object:
+    raw = raw.strip()
+    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
+        return raw[1:-1]
+    return coerce_value(raw)
 
 
 def _parse_condition(text: str):
@@ -125,3 +143,38 @@ def parse_query(text: str, relation: str | None = None) -> ImpreciseQuery:
     if not conditions:
         raise ParseError(f"no conditions found in {text!r}")
     return ImpreciseQuery(relation, conditions)
+
+
+def parse_binding(text: str) -> tuple[str, object]:
+    """One ``Attr=Value`` likeness constraint, its value coerced.
+
+    >>> parse_binding("Price=10000")
+    ('Price', 10000)
+    """
+    if "=" not in text:
+        raise ValueError(f"constraint {text!r} must look like Attribute=Value")
+    attribute, _, raw = text.partition("=")
+    return attribute, coerce_value(raw)
+
+
+def build_query(
+    schema: RelationSchema,
+    text: str | None,
+    bindings: Mapping[str, object],
+) -> ImpreciseQuery:
+    """The query given as ``text`` or as likeness ``bindings``, not both.
+
+    Raises ValueError unless exactly one form is given, and a
+    :class:`~repro.db.errors.DatabaseError` when the query does not fit
+    ``schema`` (see :meth:`ImpreciseQuery.validate_against`).
+    """
+    if text and bindings:
+        raise ValueError("use either text or Attr=Value constraints, not both")
+    if not text and not bindings:
+        raise ValueError("provide text or at least one Attr=Value constraint")
+    if text:
+        query = parse_query(text, relation=schema.name)
+    else:
+        query = ImpreciseQuery.like(schema.name, **bindings)
+    query.validate_against(schema)
+    return query

@@ -20,12 +20,20 @@ from repro.core.config import AIMQSettings
 from repro.core.engine import AIMQEngine
 from repro.core.relaxation import RandomRelax, _RelaxerBase
 from repro.db import AutonomousWebDatabase, Table
+from repro.obs.metrics import MetricSpec
 from repro.obs.runtime import OBS, timed_phase
 from repro.resilience import Clock, ResiliencePolicy
 from repro.sampling.collector import CollectionReport, collect_sample
 from repro.simmining.estimator import SimilarityModel, ValueSimilarityMiner
 
 __all__ = ["BuildTimings", "AIMQModel", "build_model", "build_model_from_sample"]
+
+PHASE_SECONDS = MetricSpec(
+    "repro_core_pipeline_phase_seconds",
+    "histogram",
+    "Wall-clock seconds per offline pipeline phase.",
+    labels=("phase",),
+)
 
 
 @dataclass
@@ -106,8 +114,7 @@ def build_model_from_sample(
     # and the trace report the same numbers by construction.
     with timed_phase(
         "pipeline.dependency_mining",
-        histogram="repro_core_pipeline_phase_seconds",
-        help_text="Wall-clock seconds per offline pipeline phase.",
+        histogram=PHASE_SECONDS,
         labels={"phase": "dependency_mining"},
     ) as mining_phase:
         dependencies = TaneMiner(settings.tane).mine(sample)
@@ -125,11 +132,7 @@ def build_model_from_sample(
     timings.supertuple_seconds = miner.timings.supertuple_seconds
     timings.similarity_estimation_seconds = miner.timings.estimation_seconds
     if OBS.enabled:
-        phases = OBS.registry.histogram(
-            "repro_core_pipeline_phase_seconds",
-            "Wall-clock seconds per offline pipeline phase.",
-            labels=("phase",),
-        )
+        phases = OBS.registry.family(PHASE_SECONDS)
         phases.labels(phase="supertuple").observe(timings.supertuple_seconds)
         phases.labels(phase="similarity_estimation").observe(
             timings.similarity_estimation_seconds
@@ -169,8 +172,7 @@ def build_model(
     with OBS.span("pipeline.build_model", sample_size=sample_size):
         with timed_phase(
             "pipeline.probing",
-            histogram="repro_core_pipeline_phase_seconds",
-            help_text="Wall-clock seconds per offline pipeline phase.",
+            histogram=PHASE_SECONDS,
             labels={"phase": "probing"},
         ) as probing_phase:
             sample, report = collect_sample(

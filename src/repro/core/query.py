@@ -19,6 +19,7 @@ from repro.db import (
     AutonomousWebDatabase,
     Between,
     Eq,
+    IsIn,
     Predicate,
     QueryError,
     QueryResult,
@@ -65,6 +66,17 @@ class PreciseConstraint:
 
 
 Constraint = LikeConstraint | PreciseConstraint
+
+
+def _operands(constraint: Constraint) -> tuple[object, ...]:
+    """The values ``constraint`` compares its attribute's cells with."""
+    if isinstance(constraint, LikeConstraint):
+        return (constraint.value,)
+    predicate = constraint.predicate
+    if isinstance(predicate, IsIn):
+        return tuple(predicate.values)
+    # A comparison's canonical form is (attribute, operator, *operands).
+    return predicate.canonical_form()[2:]
 
 
 @dataclass(frozen=True)
@@ -118,12 +130,18 @@ class ImpreciseQuery:
         return None
 
     def validate_against(self, schema: RelationSchema) -> None:
+        """Raise unless the query fits ``schema``: its relation, known
+        attributes, and a number (or None) for every numeric attribute.
+        """
         if schema.name != self.relation:
             raise QueryError(
                 f"query targets {self.relation!r} but schema is {schema.name!r}"
             )
         for constraint in self.constraints:
-            schema.attribute(constraint.attribute)
+            attribute = schema.attribute(constraint.attribute)
+            if attribute.is_numeric:
+                for value in _operands(constraint):
+                    attribute.validate_value(value)
 
     # -- mapping to the precise world -----------------------------------------
 

@@ -21,13 +21,13 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricFamily,
+    MetricSpec,
     MetricsRegistry,
 )
 from repro.obs.runtime import OBS, Observability, timed_phase
 from repro.obs.summary import StreamingQuantile
 from repro.obs.tracing import (
     NOOP_SPAN,
-    NullTracer,
     Span,
     Tracer,
     next_trace_id,
@@ -41,6 +41,7 @@ __all__ = [
     "timed_phase",
     "MetricsRegistry",
     "MetricFamily",
+    "MetricSpec",
     "Counter",
     "Gauge",
     "Histogram",
@@ -48,7 +49,6 @@ __all__ = [
     "EventLog",
     "FlightRecorder",
     "Tracer",
-    "NullTracer",
     "Span",
     "NOOP_SPAN",
     "next_trace_id",

@@ -12,6 +12,10 @@ Design choices, in the spirit of the Prometheus client model:
 * families are created idempotently — re-requesting a family with the
   same schema returns it, re-requesting with a different kind or label
   set is a programming error and raises;
+* the first request fixes a family's help text and buckets, so a family
+  requested from more than one place (emission and zero
+  pre-registration) is declared once as a :class:`MetricSpec` and
+  requested with :meth:`MetricsRegistry.family`;
 * histograms combine fixed cumulative buckets (cheap, mergeable) with a
   streaming quantile reservoir (:mod:`repro.obs.summary`) so both
   "how many probes under 5 ms" and "what is p95" are answerable;
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.obs.summary import StreamingQuantile
@@ -34,6 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricFamily",
+    "MetricSpec",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
@@ -253,6 +259,17 @@ class MetricFamily:
         return Histogram(lock, self.buckets, self.quantiles, seed=seed)
 
 
+@dataclass(frozen=True)
+class MetricSpec:
+    """One family's declaration: name, kind, help text, labels, buckets."""
+
+    name: str
+    kind: str
+    help_text: str
+    labels: tuple[str, ...] = ()
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS
+
+
 class MetricsRegistry:
     """Thread-safe collection of metric families."""
 
@@ -288,6 +305,14 @@ class MetricsRegistry:
             buckets=tuple(buckets),
             quantiles=tuple(quantiles),
         )
+
+    def family(self, spec: MetricSpec) -> MetricFamily:
+        """The family ``spec`` declares, created on first request."""
+        if spec.kind == "histogram":
+            return self.histogram(
+                spec.name, spec.help_text, spec.labels, buckets=spec.buckets
+            )
+        return self._family(spec.name, spec.kind, spec.help_text, spec.labels)
 
     def _family(
         self,

@@ -29,12 +29,10 @@ from typing import Mapping
 
 from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NOOP_SPAN, NullTracer, Span, Tracer, _NoopSpan
+from repro.obs.metrics import MetricSpec, MetricsRegistry
+from repro.obs.tracing import NOOP_SPAN, Span, Tracer, _NoopSpan
 
 __all__ = ["Observability", "OBS", "timed_phase"]
-
-_NULL_TRACER = NullTracer()
 
 
 class Observability:
@@ -107,23 +105,22 @@ class timed_phase:
 
     Always measures (``elapsed_seconds`` is valid in disabled mode, via
     ``perf_counter``); when observability is enabled it additionally
-    opens a span named ``name`` and, if ``histogram`` is given, records
-    the duration into that histogram family with ``labels``.  With
-    tracing on, ``elapsed_seconds`` is taken from the span itself so
-    timing structs derived from it agree with the trace exactly.
+    opens a span named ``name`` and, if ``histogram`` (a histogram
+    family's :class:`~repro.obs.metrics.MetricSpec`) is given, records
+    the duration into that family with ``labels``.  With tracing on,
+    ``elapsed_seconds`` is taken from the span itself so timing structs
+    derived from it agree with the trace exactly.
     """
 
     def __init__(
         self,
         name: str,
-        histogram: str | None = None,
-        help_text: str = "",
+        histogram: MetricSpec | None = None,
         labels: Mapping[str, object] | None = None,
         **attributes: object,
     ) -> None:
         self.name = name
         self.histogram = histogram
-        self.help_text = help_text
         self.labels = dict(labels or {})
         self.attributes = attributes
         self.elapsed_seconds = 0.0
@@ -147,11 +144,6 @@ class timed_phase:
                 elapsed = span.duration_seconds
         self.elapsed_seconds = elapsed
         if OBS.enabled and self.histogram is not None and exc_type is None:
-            family = OBS.registry.histogram(
-                self.histogram,
-                help_text=self.help_text,
-                labels=tuple(sorted(self.labels)),
-            )
-            instrument = family.labels(**self.labels)
+            instrument = OBS.registry.family(self.histogram).labels(**self.labels)
             instrument.observe(elapsed)  # type: ignore[union-attr]
         return False

@@ -33,7 +33,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
     "NOOP_SPAN",
     "next_trace_id",
     "render_span_tree",
@@ -223,28 +222,6 @@ class Tracer:
         with self._lock:
             self._traces.clear()
         self._local.stack = []
-
-
-class NullTracer:
-    """API-compatible tracer that records nothing at all."""
-
-    def span(self, name: str, **attributes: object) -> _NoopSpan:
-        return NOOP_SPAN
-
-    def current(self) -> None:
-        return None
-
-    def traces(self) -> list[Span]:
-        return []
-
-    def last_trace(self) -> None:
-        return None
-
-    def iter_spans(self) -> Iterator[Span]:
-        return iter(())
-
-    def reset(self) -> None:
-        pass
 
 
 def render_span_tree(span: Span, indent: int = 0) -> str:

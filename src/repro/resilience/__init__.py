@@ -22,7 +22,10 @@ from repro.resilience.errors import (
 )
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.retry import Retrier, RetryConfig
-from repro.resilience.source import ResilientWebDatabase
+from repro.resilience.source import (
+    ResilientWebDatabase,
+    preregister_resilience_metrics,
+)
 
 __all__ = [
     "BreakerState",
@@ -40,4 +43,5 @@ __all__ = [
     "SkippedStep",
     "SystemClock",
     "VirtualClock",
+    "preregister_resilience_metrics",
 ]

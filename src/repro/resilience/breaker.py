@@ -22,11 +22,24 @@ from __future__ import annotations
 
 from enum import Enum
 
+from repro.obs.metrics import MetricSpec
 from repro.obs.runtime import OBS
 from repro.resilience.clock import Clock
 from repro.resilience.errors import CircuitOpenError
 
 __all__ = ["BreakerState", "CircuitBreaker"]
+
+BREAKER_REJECTIONS = MetricSpec(
+    "repro_resilience_breaker_rejections_total",
+    "counter",
+    "Guarded calls refused because the circuit was open.",
+)
+BREAKER_TRANSITIONS = MetricSpec(
+    "repro_resilience_breaker_transitions_total",
+    "counter",
+    "Circuit-breaker state transitions.",
+    labels=("from_state", "to_state"),
+)
 
 
 class BreakerState(str, Enum):
@@ -80,10 +93,7 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             self.rejections += 1
             if OBS.enabled:
-                OBS.registry.counter(
-                    "repro_resilience_breaker_rejections_total",
-                    "Guarded calls refused because the circuit was open.",
-                ).inc()
+                OBS.registry.family(BREAKER_REJECTIONS).inc()
             retry_in = max(
                 0.0,
                 self.recovery_seconds
@@ -120,8 +130,6 @@ class CircuitBreaker:
         self._state = to
         self.transitions.append((origin.value, to.value))
         if OBS.enabled:
-            OBS.registry.counter(
-                "repro_resilience_breaker_transitions_total",
-                "Circuit-breaker state transitions.",
-                labels=("from_state", "to_state"),
-            ).labels(from_state=origin.value, to_state=to.value).inc()
+            OBS.registry.family(BREAKER_TRANSITIONS).labels(
+                from_state=origin.value, to_state=to.value
+            ).inc()

@@ -13,10 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.db import ProbeLimitExceededError, TransientSourceError
+from repro.obs.metrics import MetricSpec
 from repro.obs.runtime import OBS
 from repro.resilience.errors import CircuitOpenError, DeadlineExceededError
 
 __all__ = ["SkippedStep", "DegradationReport"]
+
+SKIPPED_STEPS = MetricSpec(
+    "repro_resilience_skipped_steps_total",
+    "counter",
+    "Relaxation work abandoned after resilience gave up, by stage and error kind.",
+    labels=("stage", "error"),
+)
 
 
 @dataclass(frozen=True)
@@ -101,12 +109,9 @@ class DegradationReport:
         )
         self.skipped.append(step)
         if OBS.enabled:
-            OBS.registry.counter(
-                "repro_resilience_skipped_steps_total",
-                "Relaxation work abandoned after resilience gave up, "
-                "by stage and error kind.",
-                labels=("stage", "error"),
-            ).labels(stage=stage, error=step.error_kind).inc()
+            OBS.registry.family(SKIPPED_STEPS).labels(
+                stage=stage, error=step.error_kind
+            ).inc()
         return step
 
     def summary(self) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.db.errors import TransientSourceError
+from repro.obs.metrics import MetricSpec
 from repro.obs.runtime import OBS
 from repro.resilience.budget import DeadlineBudget
 from repro.resilience.clock import Clock
@@ -28,6 +29,36 @@ from repro.resilience.clock import Clock
 __all__ = ["RetryConfig", "Retrier"]
 
 T = TypeVar("T")
+
+ATTEMPTS = MetricSpec(
+    "repro_resilience_attempts_total",
+    "counter",
+    "Guarded probe attempts, by outcome.",
+    labels=("outcome",),
+)
+RETRIES = MetricSpec(
+    "repro_resilience_retries_total",
+    "counter",
+    "Retry sleeps performed, by transient error kind.",
+    labels=("error",),
+)
+RETRY_EXHAUSTIONS = MetricSpec(
+    "repro_resilience_retry_exhaustions_total",
+    "counter",
+    "Guarded calls whose transient failures outlasted the retry allowance.",
+)
+DEADLINE_REFUSALS = MetricSpec(
+    "repro_resilience_deadline_refusals_total",
+    "counter",
+    "Backoff sleeps refused by a deadline budget, by scope.",
+    labels=("scope",),
+)
+BACKOFF_SECONDS = MetricSpec(
+    "repro_resilience_backoff_seconds",
+    "histogram",
+    "Backoff sleep durations before retrying a probe.",
+    buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0),
+)
 
 
 @dataclass(frozen=True)
@@ -123,22 +154,15 @@ class Retrier:
                 if attempt >= config.max_attempts:
                     self.exhaustions += 1
                     if OBS.enabled:
-                        OBS.registry.counter(
-                            "repro_resilience_retry_exhaustions_total",
-                            "Guarded calls whose transient failures "
-                            "outlasted the retry allowance.",
-                        ).inc()
+                        OBS.registry.family(RETRY_EXHAUSTIONS).inc()
                     raise
                 delay = self.backoff_delay(attempt, exc.retry_after)
                 for budget in budgets:
                     if not budget.affords_sleep(delay):
                         if OBS.enabled:
-                            OBS.registry.counter(
-                                "repro_resilience_deadline_refusals_total",
-                                "Backoff sleeps refused by a deadline "
-                                "budget, by scope.",
-                                labels=("scope",),
-                            ).labels(scope=budget.scope).inc()
+                            OBS.registry.family(DEADLINE_REFUSALS).labels(
+                                scope=budget.scope
+                            ).inc()
                         raise budget.refuse_sleep(delay) from exc
                 self.retries += 1
                 if OBS.events.enabled and OBS.events.probe_events:
@@ -151,16 +175,10 @@ class Retrier:
                         trace_id=OBS.current_trace_id() or "",
                     )
                 if OBS.enabled:
-                    OBS.registry.counter(
-                        "repro_resilience_retries_total",
-                        "Retry sleeps performed, by transient error kind.",
-                        labels=("error",),
-                    ).labels(error=type(exc).__name__).inc()
-                    OBS.registry.histogram(
-                        "repro_resilience_backoff_seconds",
-                        "Backoff sleep durations before retrying a probe.",
-                        buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0),
-                    ).observe(delay)
+                    OBS.registry.family(RETRIES).labels(
+                        error=type(exc).__name__
+                    ).inc()
+                    OBS.registry.family(BACKOFF_SECONDS).observe(delay)
                     with OBS.span(
                         "resilience.backoff",
                         attempt=attempt,
@@ -178,8 +196,4 @@ class Retrier:
     @staticmethod
     def _record_attempt(outcome: str) -> None:
         if OBS.enabled:
-            OBS.registry.counter(
-                "repro_resilience_attempts_total",
-                "Guarded probe attempts, by outcome.",
-                labels=("outcome",),
-            ).labels(outcome=outcome).inc()
+            OBS.registry.family(ATTEMPTS).labels(outcome=outcome).inc()

@@ -23,17 +23,54 @@ from typing import Any, Callable, Iterator, TypeVar
 
 from repro.db import AutonomousWebDatabase, QueryResult, SelectionQuery
 from repro.db.errors import TransientSourceError
-from repro.obs.runtime import OBS
-from repro.resilience.breaker import CircuitBreaker
+from repro.obs.metrics import MetricSpec, MetricsRegistry
+from repro.resilience.breaker import (
+    BREAKER_REJECTIONS,
+    BREAKER_TRANSITIONS,
+    CircuitBreaker,
+)
 from repro.resilience.budget import DeadlineBudget
 from repro.resilience.clock import Clock, SystemClock
+from repro.resilience.degradation import SKIPPED_STEPS
 from repro.resilience.errors import DeadlineExceededError
 from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.retry import Retrier
+from repro.resilience.retry import (
+    ATTEMPTS,
+    BACKOFF_SECONDS,
+    DEADLINE_REFUSALS,
+    RETRIES,
+    RETRY_EXHAUSTIONS,
+    Retrier,
+)
 
-__all__ = ["ResilientWebDatabase"]
+__all__ = ["ResilientWebDatabase", "preregister_resilience_metrics"]
 
 T = TypeVar("T")
+
+#: One zero series per ``repro_resilience_*`` family.
+_ZERO_SERIES: tuple[tuple[MetricSpec, dict[str, object]], ...] = (
+    (ATTEMPTS, {"outcome": "ok"}),
+    (RETRIES, {"error": "TransientSourceError"}),
+    (RETRY_EXHAUSTIONS, {}),
+    (DEADLINE_REFUSALS, {"scope": "probe"}),
+    (BACKOFF_SECONDS, {}),
+    (BREAKER_REJECTIONS, {}),
+    (BREAKER_TRANSITIONS, {"from_state": "closed", "to_state": "open"}),
+    (SKIPPED_STEPS, {"stage": "relaxation", "error": "TransientSourceError"}),
+)
+
+
+def preregister_resilience_metrics(registry: MetricsRegistry) -> None:
+    """Zero-init every ``repro_resilience_*`` family.
+
+    A healthy run never trips a retry or opens the breaker, so these
+    families would be absent from a metrics dump exactly when a reader
+    most wants to confirm they are quiet.  Registers one concrete zero
+    series per family (a bare family with no series would violate the
+    snapshot schema).
+    """
+    for spec, labels in _ZERO_SERIES:
+        registry.family(spec).labels(**labels)
 
 
 class ResilientWebDatabase:
@@ -114,59 +151,21 @@ class ResilientWebDatabase:
     def _guard(self, fn: Callable[[], T]) -> T:
         if self.breaker is not None:
             self.breaker.before_call()
-        if not OBS.enabled:
-            # Fast path: defer the retry/budget machinery until a probe
-            # actually fails.  A fresh probe budget cannot be expired on
-            # attempt one, so only the query-scope budget needs checking
-            # here; a first failure replays into the full path with the
-            # RNG stream and retry counters untouched.  Skipped when
-            # observability is on so the attempt metrics stay complete.
-            query_budget = self._query_budget
-            try:
-                if query_budget is not None:
-                    query_budget.require()
-                value = fn()
-            except TransientSourceError as exc:
-                return self._guard_full(fn, first_error=exc)
-            except DeadlineExceededError:
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                raise
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return value
-        return self._guard_full(fn)
-
-    def _guard_full(
-        self,
-        fn: Callable[[], T],
-        first_error: TransientSourceError | None = None,
-    ) -> T:
-        budgets: list[DeadlineBudget] = []
+        # The probe budget bounds this call from its first attempt on;
+        # the retrier draws no jitter and sleeps only after a transient
+        # failure.
+        budgets: tuple[DeadlineBudget, ...] = ()
         if self.policy.probe_deadline_seconds is not None:
-            # When replaying a fast-path failure the budget starts at
-            # the failure, not the attempt; probes take no virtual time,
-            # so deterministic schedules are unaffected.
-            budgets.append(
+            budgets = (
                 DeadlineBudget(
-                    self.policy.probe_deadline_seconds,
-                    self.clock,
-                    scope="probe",
-                )
+                    self.policy.probe_deadline_seconds, self.clock, scope="probe"
+                ),
             )
-        if self._query_budget is not None:
-            budgets.append(self._query_budget)
-        attempt_fn = fn
-        if first_error is not None:
-            pending = [first_error]
-
-            def attempt_fn() -> T:
-                if pending:
-                    raise pending.pop()
-                return fn()
-
+        query_budget = self._query_budget
+        if query_budget is not None:
+            budgets += (query_budget,)
         try:
-            value = self.retrier.call(attempt_fn, tuple(budgets))
+            value = self.retrier.call(fn, budgets)
         except (TransientSourceError, DeadlineExceededError):
             # Retry exhaustion or a deadline refusal: the source is
             # misbehaving at guarded-call granularity.

@@ -22,6 +22,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.metrics import MetricSpec
 from repro.obs.runtime import OBS
 from repro.resilience.clock import Clock, SystemClock
 from repro.serve.config import ServeConfig
@@ -33,6 +34,23 @@ SHED_DRAINING = "draining"
 SHED_QUEUE_FULL = "queue_full"
 SHED_THROTTLED = "throttled"
 SHED_QUEUE_TIMEOUT = "queue_timeout"
+
+INFLIGHT = MetricSpec(
+    "repro_serve_inflight_count",
+    "gauge",
+    "Requests currently holding an in-flight slot.",
+)
+QUEUE_DEPTH = MetricSpec(
+    "repro_serve_queue_depth_count",
+    "gauge",
+    "Requests parked in the bounded admission queue.",
+)
+SHED = MetricSpec(
+    "repro_serve_shed_total",
+    "counter",
+    "Requests shed at admission, by reason.",
+    labels=("reason",),
+)
 
 
 @dataclass(frozen=True)
@@ -245,17 +263,7 @@ class AdmissionController:
         if not OBS.enabled:
             return
         registry = OBS.registry
-        registry.gauge(
-            "repro_serve_inflight_count",
-            "Requests currently holding an in-flight slot.",
-        ).set(inflight)
-        registry.gauge(
-            "repro_serve_queue_depth_count",
-            "Requests parked in the bounded admission queue.",
-        ).set(waiting)
+        registry.family(INFLIGHT).set(inflight)
+        registry.family(QUEUE_DEPTH).set(waiting)
         if decision is not None and not decision.admitted:
-            registry.counter(
-                "repro_serve_shed_total",
-                "Requests shed at admission, by reason.",
-                labels=("reason",),
-            ).labels(reason=decision.reason).inc()
+            registry.family(SHED).labels(reason=decision.reason).inc()

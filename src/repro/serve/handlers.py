@@ -9,11 +9,12 @@ code path, no sockets, no real sleeps.
 Contract highlights:
 
 * ``/query`` answers are **bit-identical** to ``repro query``: the
-  handler builds the same :class:`~repro.core.query.ImpreciseQuery`
-  (same ``Attr=Value`` coercion), the same per-request engine, and
-  serialises the resulting :class:`~repro.core.results.AnswerSet` with
-  :func:`answer_payload` — which tests also apply to the CLI-path
-  answer to prove equality.
+  handler reads constraints with the CLI's own
+  :func:`~repro.core.parser.parse_binding`, builds and validates the
+  query with its :func:`~repro.core.parser.build_query`, answers with
+  the same per-request engine, and serialises the resulting
+  :class:`~repro.core.results.AnswerSet` with :func:`answer_payload` —
+  which tests also apply to the CLI-path answer to prove equality.
 * Overload never turns into a 500: shed requests get 429 +
   ``Retry-After`` (stage one), pressured requests run under shrunken
   budgets (stage two), and source failures degrade into partial
@@ -29,16 +30,23 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.core.parser import parse_query
-from repro.core.query import ImpreciseQuery, LikeConstraint
+from repro.core.parser import build_query, coerce_value, parse_binding
+from repro.core.query import ImpreciseQuery
 from repro.core.results import AnswerSet
 from repro.core.store import StoreError
 from repro.db import DatabaseError, RelationSchema
 from repro.obs.export import to_prometheus
+from repro.obs.metrics import MetricSpec, MetricsRegistry
 from repro.obs.runtime import OBS
 from repro.resilience import ResilienceError
 from repro.resilience.clock import Clock, SystemClock
-from repro.serve.admission import SHED_QUEUE_FULL, AdmissionController
+from repro.serve.admission import (
+    INFLIGHT,
+    QUEUE_DEPTH,
+    SHED,
+    SHED_QUEUE_FULL,
+    AdmissionController,
+)
 from repro.serve.config import ServeConfig
 from repro.serve.session import RequestSession, SessionBudgets, budgets_for
 from repro.serve.state import ServeState
@@ -50,20 +58,18 @@ __all__ = [
     "preregister_serve_metrics",
 ]
 
-#: Latency buckets for ``repro_serve_request_seconds`` — shared by the
-#: per-request observation and the zero pre-registration so the family
-#: is always created with one consistent shape.
-REQUEST_SECONDS_BUCKETS = (
-    0.001,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
+REQUESTS = MetricSpec(
+    "repro_serve_requests_total",
+    "counter",
+    "HTTP requests served, by route and status.",
+    labels=("route", "status"),
+)
+REQUEST_SECONDS = MetricSpec(
+    "repro_serve_request_seconds",
+    "histogram",
+    "End-to-end request latency, by route.",
+    labels=("route",),
+    buckets=(0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5),
 )
 
 
@@ -90,37 +96,6 @@ def _json_response(
 
 def _text_response(status: int, text: str, content_type: str) -> Response:
     return Response(status, text.encode("utf-8"), content_type=content_type)
-
-
-def coerce_value(raw: str) -> object:
-    """``Attr=Value`` coercion, identical to the CLI's ``_parse_binding``."""
-    value: object = raw
-    try:
-        value = int(raw)
-    except ValueError:
-        try:
-            value = float(raw)
-        except ValueError:
-            pass
-    return value
-
-
-def _check_query(query: ImpreciseQuery, schema: RelationSchema) -> None:
-    """Raise unless ``query`` fits ``schema``: its relation, known
-    attributes, and a number for every numeric attribute."""
-    query.validate_against(schema)
-    for constraint in query.constraints:
-        attribute = schema.attribute(constraint.attribute)
-        if not attribute.is_numeric:
-            continue
-        if isinstance(constraint, LikeConstraint):
-            values: tuple[object, ...] = (constraint.value,)
-        else:
-            # A parsed comparison's canonical form is (attribute,
-            # operator, operand).
-            values = constraint.predicate.canonical_form()[2:]
-        for value in values:
-            attribute.validate_value(value)
 
 
 def answer_payload(
@@ -383,13 +358,7 @@ class Router:
                     f"k must be an integer, got {json.dumps(k)}"
                 )
         else:
-            for entry in params.get("c", ()):
-                if "=" not in entry:
-                    raise ValueError(
-                        f"constraint {entry!r} must look like Attribute=Value"
-                    )
-                attribute, _, raw = entry.partition("=")
-                bindings[attribute] = coerce_value(raw)
+            bindings.update(map(parse_binding, params.get("c", ())))
             text_values = params.get("text", ())
             if text_values:
                 text = text_values[0]
@@ -398,19 +367,10 @@ class Router:
                 k = int(k_values[0])
         if not 1 <= k <= self.config.max_k:
             raise ValueError(f"k must be in [1, {self.config.max_k}]")
-        if text and bindings:
-            raise ValueError("use either text or constraints, not both")
-        if not text and not bindings:
-            raise ValueError("provide text or at least one Attr=Value constraint")
         try:
-            if text:
-                query = parse_query(text, relation=schema.name)
-            else:
-                query = ImpreciseQuery.like(schema.name, **bindings)
-            _check_query(query, schema)
+            return build_query(schema, text, bindings), k
         except DatabaseError as exc:
             raise ValueError(str(exc)) from exc
-        return query, k
 
     # -- observability -----------------------------------------------------
 
@@ -439,20 +399,23 @@ class Router:
             return
         route = path if path in ROUTES else "other"
         registry = OBS.registry
-        registry.counter(
-            "repro_serve_requests_total",
-            "HTTP requests served, by route and status.",
-            labels=("route", "status"),
-        ).labels(route=route, status=response.status).inc()
-        registry.histogram(
-            "repro_serve_request_seconds",
-            "End-to-end request latency, by route.",
-            labels=("route",),
-            buckets=REQUEST_SECONDS_BUCKETS,
-        ).labels(route=route).observe(seconds)
+        registry.family(REQUESTS).labels(
+            route=route, status=response.status
+        ).inc()
+        registry.family(REQUEST_SECONDS).labels(route=route).observe(seconds)
 
 
-def preregister_serve_metrics(registry: Any = None) -> None:
+#: One zero series per ``repro_serve_*`` family.
+_ZERO_SERIES: tuple[tuple[MetricSpec, dict[str, object]], ...] = (
+    (REQUESTS, {"route": "/query", "status": 200}),
+    (SHED, {"reason": SHED_QUEUE_FULL}),
+    (INFLIGHT, {}),
+    (QUEUE_DEPTH, {}),
+    (REQUEST_SECONDS, {"route": "/query"}),
+)
+
+
+def preregister_serve_metrics(registry: MetricsRegistry | None = None) -> None:
     """Zero-init every ``repro_serve_*`` family.
 
     Called at server start (and by ``repro stats``) so dashboards and
@@ -463,30 +426,8 @@ def preregister_serve_metrics(registry: Any = None) -> None:
     """
     if registry is None:
         registry = OBS.registry
-    registry.counter(
-        "repro_serve_requests_total",
-        "HTTP requests served, by route and status.",
-        labels=("route", "status"),
-    ).labels(route="/query", status=200).inc(0)
-    registry.counter(
-        "repro_serve_shed_total",
-        "Requests shed at admission, by reason.",
-        labels=("reason",),
-    ).labels(reason=SHED_QUEUE_FULL).inc(0)
-    registry.gauge(
-        "repro_serve_inflight_count",
-        "Requests currently holding an in-flight slot.",
-    ).set(0)
-    registry.gauge(
-        "repro_serve_queue_depth_count",
-        "Requests parked in the bounded admission queue.",
-    ).set(0)
-    registry.histogram(
-        "repro_serve_request_seconds",
-        "End-to-end request latency, by route.",
-        labels=("route",),
-        buckets=REQUEST_SECONDS_BUCKETS,
-    ).labels(route="/query")
+    for spec, labels in _ZERO_SERIES:
+        registry.family(spec).labels(**labels)
 
 
 #: Routes with their own label value in the request metrics.

@@ -2,8 +2,10 @@
 
 The expensive offline artifacts — the source facade, the AFD/VSim
 model (mined or loaded from a :mod:`repro.core.store` JSON file) — are
-built exactly the way the ``repro query`` CLI builds them, so every
-answer served from this state is bit-identical to the one-shot path.
+built by :func:`dataset_webdb` and :func:`load_or_build_model`, the
+functions ``repro query``, ``repro trace``, ``repro stats`` and
+``repro mine`` call too, so every answer served from this state is
+bit-identical to the one-shot path.
 
 Warm reload is crash-safe by construction: :meth:`ServeState.reload`
 builds a complete new bundle *outside* the state lock (model mining
@@ -29,7 +31,12 @@ from repro.evalx import census_settings
 from repro.obs.runtime import OBS
 from repro.serve.config import ServeConfig
 
-__all__ = ["ModelBundle", "ServeState"]
+__all__ = [
+    "ModelBundle",
+    "ServeState",
+    "dataset_webdb",
+    "load_or_build_model",
+]
 
 
 @dataclass(frozen=True)
@@ -46,38 +53,50 @@ class ModelBundle:
     generation: int
 
 
-def _dataset_webdb(config: ServeConfig) -> AutonomousWebDatabase:
-    """The shared source facade, built the way the CLI builds it."""
-    if config.dataset == "cardb":
-        webdb = cardb_webdb(config.rows, seed=config.seed)
+def dataset_webdb(dataset: str, rows: int, seed: int) -> AutonomousWebDatabase:
+    """The source facade over ``rows`` synthetic rows of ``dataset``."""
+    if dataset == "cardb":
+        return cardb_webdb(rows, seed=seed)
+    if dataset == "censusdb":
+        return census_webdb(rows, seed=seed)[0]
+    raise ValueError(f"unknown dataset {dataset!r}")
+
+
+def load_or_build_model(
+    webdb: AutonomousWebDatabase,
+    dataset: str,
+    sample: int,
+    seed: int,
+    model_path: str | None,
+) -> AIMQModel:
+    """The stored model at ``model_path``, else one mined from a
+    ``sample``-row probe of ``webdb`` with the dataset's settings."""
+    if model_path:
+        return load_model(model_path, webdb.schema)
+    if dataset == "censusdb":
+        settings = census_settings(error_threshold=0.3)
     else:
-        webdb = census_webdb(config.rows, seed=config.seed)[0]
-    if config.probe_cache_capacity > 0:
-        # The shared, admission-bounded probe cache: repeats across
-        # concurrent sessions are served locally.  A cold cache charges
-        # nothing and changes nothing, so first-touch answers remain
-        # bit-identical to the cache-less CLI path.
-        webdb.enable_probe_cache(config.probe_cache_capacity)
-    return webdb
-
-
-def _dataset_settings(config: ServeConfig) -> AIMQSettings:
-    if config.dataset == "censusdb":
-        return census_settings(error_threshold=0.3)
-    return AIMQSettings(max_relaxation_level=3)
+        settings = AIMQSettings(max_relaxation_level=3)
+    return build_model(
+        webdb,
+        sample_size=sample,
+        rng=random.Random(seed + 1),
+        settings=settings,
+    )
 
 
 def _build_bundle(config: ServeConfig, generation: int) -> ModelBundle:
-    webdb = _dataset_webdb(config)
-    if config.model_path:
-        model = load_model(config.model_path, webdb.schema)
-    else:
-        model = build_model(
-            webdb,
-            sample_size=config.sample,
-            rng=random.Random(config.seed + 1),
-            settings=_dataset_settings(config),
-        )
+    webdb = dataset_webdb(config.dataset, config.rows, config.seed)
+    if config.probe_cache_capacity > 0:
+        # The shared, admission-bounded probe cache: repeats across
+        # concurrent sessions are served locally.  It is on before the
+        # model build, so sampling probes pass through it too.  A cold
+        # cache charges nothing and changes nothing, so first-touch
+        # answers remain bit-identical to the cache-less CLI path.
+        webdb.enable_probe_cache(config.probe_cache_capacity)
+    model = load_or_build_model(
+        webdb, config.dataset, config.sample, config.seed, config.model_path
+    )
     return ModelBundle(webdb=webdb, model=model, generation=generation)
 
 

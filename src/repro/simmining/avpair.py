@@ -27,10 +27,9 @@ class AVPair:
     def __post_init__(self) -> None:
         if not self.attribute:
             raise ValueError("AV-pair needs an attribute name")
-        if not isinstance(self.value, str) or not self.value:
-            raise ValueError(
-                f"AV-pair value must be a non-empty string, got {self.value!r}"
-            )
+        # Any string a categorical column holds, the empty one included.
+        if not isinstance(self.value, str):
+            raise ValueError(f"AV-pair value must be a string, got {self.value!r}")
 
     def as_query(self) -> SelectionQuery:
         """The single-attribute selection query this AV-pair denotes."""

@@ -31,6 +31,7 @@ from numpy.typing import NDArray
 
 from repro.db.schema import RelationSchema
 from repro.db.table import Table
+from repro.obs.metrics import MetricSpec
 from repro.obs.runtime import OBS, timed_phase
 from repro.simmining.avpair import AVPair
 from repro.simmining.bag import Bag
@@ -93,6 +94,13 @@ class MiningTimings:
     def total_seconds(self) -> float:
         return self.supertuple_seconds + self.estimation_seconds
 
+
+PHASE_SECONDS = MetricSpec(
+    "repro_simmining_phase_seconds",
+    "histogram",
+    "Wall-clock seconds per similarity-mining phase.",
+    labels=("phase",),
+)
 
 #: Shared immutable view returned by ``pairs()`` for unknown attributes.
 _NO_PAIRS: Mapping[tuple[str, str], float] = MappingProxyType({})
@@ -225,8 +233,7 @@ class ValueSimilarityMiner:
         min_count = self.config.min_value_count
         with timed_phase(
             "simmining.supertuples",
-            histogram="repro_simmining_phase_seconds",
-            help_text="Wall-clock seconds per similarity-mining phase.",
+            histogram=PHASE_SECONDS,
             labels={"phase": "supertuple"},
             n_attributes=len(names),
         ) as phase:
@@ -310,8 +317,7 @@ class ValueSimilarityMiner:
         pair_evaluations = 0
         with timed_phase(
             "simmining.estimate",
-            histogram="repro_simmining_phase_seconds",
-            help_text="Wall-clock seconds per similarity-mining phase.",
+            histogram=PHASE_SECONDS,
             labels={"phase": "estimation"},
             n_attributes=len(names),
         ) as phase:

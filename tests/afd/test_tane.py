@@ -1,10 +1,15 @@
 """Unit tests for the levelwise TANE miner."""
 
-import pytest
+import math
 
-from repro.afd.tane import TaneConfig, TaneMiner, bin_numeric_column, mine_dependencies
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.afd.tane import TaneConfig, TaneMiner, mine_dependencies, tane_columns
 from repro.db.schema import RelationSchema
 from repro.db.table import Table
+from tests.oracles.afd import bin_numeric_column
 
 
 def small_table() -> Table:
@@ -53,39 +58,71 @@ class TestConfig:
             TaneConfig(numeric_bins=-1)
 
 
+def tane_binned(values, n_bins):
+    """TANE's labels for a one-column numeric table holding ``values``."""
+    table = Table(RelationSchema.build("T", numeric=("X",)))
+    table.extend([(value,) for value in values])
+    return tane_columns(table, n_bins)["X"]
+
+
+#: Cells of a numeric column: ints, floats equal to ints, other floats,
+#: None, NaN and ±inf.  Ints stay within float64's exact range (2**53),
+#: where the float binner's arithmetic is the integer arithmetic.
+_CELLS = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.integers(-50, 50).map(float),
+    st.floats(-1e9, 1e9),
+    st.sampled_from([None, math.nan, math.inf, -math.inf]),
+)
+
+
 class TestBinning:
     def test_equal_width_bins(self):
-        binned = bin_numeric_column([0, 5, 10], 2)
+        binned = tane_binned([0, 5, 10], 2)
         assert binned == [0, 1, 1]
 
     def test_nulls_preserved(self):
-        assert bin_numeric_column([None, 1, 2], 2)[0] is None
+        assert tane_binned([None, 1, 2], 2)[0] is None
 
     def test_constant_column_single_bin(self):
-        assert bin_numeric_column([3, 3, 3], 4) == [0, 0, 0]
+        assert tane_binned([3, 3, 3], 4) == [0, 0, 0]
 
     def test_empty_column(self):
-        assert bin_numeric_column([], 3) == []
+        assert tane_binned([], 3) == []
 
     def test_invalid_bins(self):
+        # Zero bins means raw values (TaneConfig's default); a negative
+        # count reaches the binner, which refuses it.
+        assert tane_binned([1, 2], 0) == [1, 2]
         with pytest.raises(ValueError):
-            bin_numeric_column([1], 0)
+            tane_binned([1, 2], -1)
 
     def test_non_finite_cells_pass_through(self):
         nan, inf = float("nan"), float("inf")
-        binned = bin_numeric_column([0, nan, 5, inf, None, 10, -inf], 2)
+        binned = tane_binned([0, nan, 5, inf, None, 10, -inf], 2)
         # Bin edges come from the finite values 0..10 only; list equality
         # matches the very same NaN object by identity.
         assert binned == [0, nan, 1, inf, None, 1, -inf]
 
     def test_only_non_finite_cells(self):
         nan = float("nan")
-        assert bin_numeric_column([nan, None, float("inf")], 3) == [
+        assert tane_binned([nan, None, float("inf")], 3) == [
             nan,
             None,
             float("inf"),
         ]
-        assert bin_numeric_column([2.0, nan, 2.0], 3) == [0, nan, 0]
+        assert tane_binned([2.0, nan, 2.0], 3) == [0, nan, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(_CELLS, max_size=40),
+            st.tuples(_CELLS, st.integers(0, 20)).map(lambda c: [c[0]] * c[1]),
+        ),
+        n_bins=st.integers(1, 12),
+    )
+    def test_labels_equal_the_pure_python_binner(self, values, n_bins):
+        assert tane_binned(values, n_bins) == bin_numeric_column(values, n_bins)
 
 
 class TestMining:

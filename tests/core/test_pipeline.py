@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import AIMQSettings
 from repro.core.pipeline import build_model, build_model_from_sample
+from repro.db import RelationSchema, Table
 
 
 class TestBuildFromSample:
@@ -43,6 +44,15 @@ class TestBuildFromSample:
     def test_engine_construction(self, model, car_webdb):
         engine = model.engine(car_webdb)
         assert engine.ordering is model.ordering
+
+    def test_empty_string_is_a_categorical_value(self):
+        # A categorical column may hold "", so mining must take it as an
+        # AV-pair value like any other string.
+        sample = Table(RelationSchema.build("T", categorical=("Make", "Color")))
+        sample.extend([("", "Red"), ("", "Red"), ("Ford", "Blue"), ("Ford", "Red")])
+        model = build_model_from_sample(sample)
+        assert model.value_similarity.known_values("Make") == {"", "Ford"}
+        assert model.value_similarity.similarity("Make", "", "Ford") > 0
 
 
 class TestBuildViaProbing:

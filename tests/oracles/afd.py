@@ -14,13 +14,59 @@ it became a label array (docs/PERFORMANCE.md §6 and §11):
   replaced.  The product and g3 pass read the row → class map that
   ``StrippedPartition.class_map()`` memoised; here ``class_map``
   rebuilds it per call, since memoising it only saved time.
+
+``bin_numeric_column`` is TANE's pure-Python equal-width binner, which
+``repro.afd.tane.tane_columns`` replaced with the supertuple binners
+(``build_binners`` and ``NumericBinner.bin_indices``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Sequence
 
 from repro.afd.partition import StrippedPartition
+
+
+def bin_numeric_column(
+    values: Sequence[object], n_bins: int
+) -> list[object]:
+    """Equal-width bin a numeric column; nulls, NaN and ±inf pass through.
+
+    Returns bin labels (ints) for finite values, with the bin edges
+    spanning the finite values only; a constant column maps to a single
+    bin.  A non-finite cell keeps its own value as its label, so it
+    groups as it would unbinned.
+    """
+    if n_bins <= 0:
+        raise ValueError("n_bins must be positive")
+    inf = math.inf
+    # -inf < v < inf is False exactly for NaN and ±inf.
+    finite = [
+        v for v in values if v is not None and -inf < v < inf  # type: ignore[operator]
+    ]
+    if not finite:
+        return list(values)
+    low = min(finite)  # type: ignore[type-var]
+    high = max(finite)  # type: ignore[type-var]
+    if low == high:
+        return [
+            0 if v is not None and -inf < v < inf else v  # type: ignore[operator]
+            for v in values
+        ]
+    width = (high - low) / n_bins  # type: ignore[operator]
+    binned: list[object] = []
+    for value in values:
+        if value is None:
+            binned.append(None)
+            continue
+        try:
+            index = int((value - low) / width)  # type: ignore[operator]
+        except (ValueError, OverflowError):  # int() of NaN, of ±inf
+            binned.append(value)
+            continue
+        binned.append(min(index, n_bins - 1))
+    return binned
 
 
 def class_map(partition: StrippedPartition) -> dict[int, int]:

@@ -266,3 +266,66 @@ class TestDeadlineScopeThreadIsolation:
         assert not any(thread.is_alive() for thread in threads)
         assert outcome["holder"] == "expired"
         assert isinstance(outcome["prober"], int)
+
+
+class _SlowFailingSource:
+    """Every probe takes ``seconds`` of virtual time, then fails."""
+
+    def __init__(self, clock, seconds):
+        self.clock = clock
+        self.seconds = seconds
+        self.attempts = 0
+
+    def query(self, query, limit=None, offset=0):
+        self.attempts += 1
+        self.clock.advance(self.seconds)
+        raise TransientProbeError()
+
+
+class TestObservabilityPostures:
+    """The guarded path is one path: observability never changes it."""
+
+    @staticmethod
+    def _guarded_outcome():
+        from repro.db import Eq, SelectionQuery
+        from repro.resilience import ResiliencePolicy, ResilientWebDatabase
+
+        clock = VirtualClock()
+        source = _SlowFailingSource(clock, seconds=0.4)
+        guarded = ResilientWebDatabase(
+            source,  # type: ignore[arg-type]
+            ResiliencePolicy(
+                retry=RetryConfig(base_delay=0.01),
+                probe_deadline_seconds=1.0,
+                breaker_failure_threshold=None,
+            ),
+            clock=clock,
+        )
+        with pytest.raises((TransientSourceError, DeadlineExceededError)) as info:
+            guarded.query(SelectionQuery((Eq("Make", "Ford"),)))
+        return (
+            source.attempts,
+            guarded.retrier.retries,
+            clock.monotonic(),
+            clock.sleeps,
+            info.type.__name__,
+        )
+
+    def test_same_attempts_retries_and_clock_in_every_posture(self, monkeypatch):
+        from repro.obs import OBS
+
+        outcomes = {"off": self._guarded_outcome()}
+        monkeypatch.setattr(OBS.events, "enabled", True)
+        outcomes["events"] = self._guarded_outcome()
+        monkeypatch.setattr(OBS, "enabled", True)
+        try:
+            outcomes["tracing"] = self._guarded_outcome()
+        finally:
+            OBS.reset()
+        assert outcomes["events"] == outcomes["off"]
+        assert outcomes["tracing"] == outcomes["off"]
+        attempts, retries, now, _, error = outcomes["off"]
+        # The probe budget starts before attempt one: a third 0.4 s
+        # attempt starts inside the 1 s budget, a fourth would not.
+        assert (attempts, retries, error) == (3, 2, "DeadlineExceededError")
+        assert 1.2 <= now < 1.3

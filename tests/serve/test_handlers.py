@@ -297,6 +297,8 @@ def test_undecodable_model_on_reload_keeps_the_old_bundle(
     [("2002", 2002), ("1.5", 1.5), ("Ford", "Ford")],
 )
 def test_constraint_coercion_matches_cli(raw, expected):
-    from repro.serve.handlers import coerce_value
+    # GET constraints, POST string values and CLI pairs share one parser.
+    from repro.core.parser import coerce_value, parse_binding
 
     assert coerce_value(raw) == expected
+    assert parse_binding(f"X={raw}") == ("X", expected)

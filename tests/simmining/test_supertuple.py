@@ -32,7 +32,7 @@ class TestAVPair:
         with pytest.raises(ValueError):
             AVPair("", "Ford")
         with pytest.raises(ValueError):
-            AVPair("Make", "")
+            AVPair("Make", 5)  # type: ignore[arg-type]
 
     def test_ordering_and_hash(self):
         pairs = {AVPair("Make", "Ford"), AVPair("Make", "Ford")}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import _parse_binding, build_parser, main
+from repro.cli import build_parser, main
+from repro.core.parser import parse_binding
 
 
 class TestParser:
@@ -29,19 +30,17 @@ class TestParser:
 
 class TestParseBinding:
     def test_string_value(self):
-        assert _parse_binding("Model=Camry") == ("Model", "Camry")
+        assert parse_binding("Model=Camry") == ("Model", "Camry")
 
     def test_int_value(self):
-        assert _parse_binding("Price=10000") == ("Price", 10000)
+        assert parse_binding("Price=10000") == ("Price", 10000)
 
     def test_float_value(self):
-        assert _parse_binding("Price=99.5") == ("Price", 99.5)
+        assert parse_binding("Price=99.5") == ("Price", 99.5)
 
     def test_missing_equals(self):
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_binding("Model")
+        with pytest.raises(ValueError, match="must look like Attribute=Value"):
+            parse_binding("Model")
 
 
 class TestCommands:
